@@ -194,15 +194,17 @@ def check_dataset_prep(manifest, inputs: Path, out: Path) -> list:
                     f"{bias['cc_with_prior']} vs {direct}"))
     lo, hi = manifest["maps"]
     first = manifest["clips"][0]
-    maps = sorted((out / "maps").glob("*.f32"))
+    maps = sorted((out / "maps").glob("*.pgm"))
     results.append(("maps/: one map per frame of the range", len(maps) == hi - lo,
                     f"{len(maps)} maps"))
     cleaned = read_fixations(fix_dir / f"{first['clip_id']}_fixations.csv")
     for f in (lo, hi - 1):
         want = blur_fixations(fixation_map_for_frame(cleaned, f), KERNEL).values
-        got = read_map(out / "maps" / f"{f:06d}.f32")
-        results.append((f"maps/{f:06d}.f32 equals the blurred fixation map",
-                        np.array_equal(got, want.astype(np.float32).astype(float)), ""))
+        got = read_map(out / "maps" / f"{f:06d}.pgm")
+        step = want.max() / 65535  # one 16-bit quantization step
+        err = float(np.abs(got - want).max())
+        results.append((f"maps/{f:06d}.pgm equals the blurred fixation map to 16 bits",
+                        err <= 0.5 * step * (1 + 1e-9), f"max error {err}, step {step}"))
     for clip in manifest["clips"]:
         cid = clip["clip_id"]
         cleaned = read_fixations(fix_dir / f"{cid}_fixations.csv")

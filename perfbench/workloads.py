@@ -290,8 +290,10 @@ def chain_model_bench(inp: Path, out: Path) -> list:
 PREP_CLIPS = [("prep_scope", 1920, 800), ("prep_wide", 1920, 1080),
               ("prep_academy", 1440, 1080)]
 #: the average map runs over every ``average_step``-th frame (a --frames-file),
-#: which keeps saliency near half of the run instead of ~70%
-PREP = {"frames": 300, "observers": 15, "maps": (0, 40), "average_step": 3}
+#: which keeps saliency near half of the run instead of ~70%; the per-frame
+#: maps are few and 16-bit because every run writes them anew and more
+#: bytes per run outpace the disk's writeback, stalling the runs after
+PREP = {"frames": 300, "observers": 15, "maps": (0, 12), "average_step": 3}
 
 
 def generate_dataset_prep(seed, root: Path) -> dict:
@@ -310,7 +312,7 @@ def generate_dataset_prep(seed, root: Path) -> dict:
                       "samples_per_observer_per_frame": 1,
                       "export_rows": sum(c["rows"] for c in clips),
                       "average_every_nth_frame": p["average_step"],
-                      "maps_written": p["maps"][1] - p["maps"][0]}}
+                      "pgm_maps_written": p["maps"][1] - p["maps"][0]}}
 
 
 def chain_dataset_prep(inp: Path, out: Path) -> list:
@@ -331,7 +333,8 @@ def chain_dataset_prep(inp: Path, out: Path) -> list:
     lo, hi = PREP["maps"]
     cid = PREP_CLIPS[0][0]
     chain.append(["saliency", "--fixations", str(fix / f"{cid}_fixations.csv"),
-                  "--out-dir", str(out / "maps"), "--frames", f"{lo}:{hi}"])
+                  "--out-dir", str(out / "maps"), "--format", "pgm",
+                  "--frames", f"{lo}:{hi}"])
     for cid, _, _ in PREP_CLIPS:
         chain.append(["ioc", "--fixations", str(fix / f"{cid}_fixations.csv"),
                       "--meta", str(inp / f"{cid}.meta.json"), "--window", "20",
