@@ -279,6 +279,21 @@ def shot_stats(annotation: ClipAnnotation, fps: float) -> ShotStats:
     )
 
 
+def labels(kind: PartitionKind, motions, angle: str, size: str) -> tuple:
+    """The labels a shot (or a score row) counts under in a partition.
+
+    Motion is multi-label and gives every motion; Angle and Size give one
+    label. Empty labels (rows scored without an annotation) give none.
+    """
+    if kind == PartitionKind.MOTION:
+        chosen = motions
+    elif kind == PartitionKind.ANGLE:
+        chosen = (angle,)
+    else:
+        chosen = (size,)
+    return tuple(label for label in chosen if label)
+
+
 def partition_frames(annotation: ClipAnnotation, kind: PartitionKind) -> dict:
     """Frame sets per label.
 
@@ -288,13 +303,8 @@ def partition_frames(annotation: ClipAnnotation, kind: PartitionKind) -> dict:
     kind = PartitionKind(kind)
     out: dict = {}
     for shot in annotation.shots:
-        if kind is PartitionKind.MOTION:
-            labels = [m.value for m in shot.motions]
-        elif kind is PartitionKind.ANGLE:
-            labels = [shot.angle.value]
-        else:
-            labels = [shot.size.value]
-        for label in labels:
+        for label in labels(kind, [m.value for m in shot.motions],
+                            shot.angle.value, shot.size.value):
             out.setdefault(label, set()).update(shot.frames)
     return {label: frozenset(frames) for label, frames in out.items()}
 

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .annotations import ClipAnnotation, PartitionKind, shot_at
+from .annotations import ClipAnnotation, PartitionKind, labels, shot_at
 from .core import SaliencyMap
 from .errors import CinegazeError, InputError
 from .gridio import read_map
@@ -28,9 +28,14 @@ from .ingest import CleanedFixations, fixation_map_for_frame
 from .metrics import (KLD_EPSILON, Metric, auc_borji, auc_judd, cc, kld, nss,
                       sim)
 from .saliency import GaussianKernel, blur_fixations, resize_bilinear
+from .tables import read_table, write_table
 
 METRIC_ORDER = [m.value for m in
                 (Metric.CC, Metric.SIM, Metric.AUC_J, Metric.AUC_B, Metric.NSS, Metric.KLD)]
+
+#: score table columns and their cell converters
+SCORE_COLUMNS = {"clip_id": str, "frame_index": int, "metric": str, "value": float,
+                 "motions": str, "angle": str, "size": str}
 
 
 @dataclass(frozen=True)
@@ -180,13 +185,7 @@ def aggregate_by_annotation(rows: Sequence[ScoreRow], kind) -> dict:
     sums: dict = {}
     counts: dict = {}
     for row in _sorted_rows(rows):
-        if kind is PartitionKind.MOTION:
-            labels = row.motions
-        elif kind is PartitionKind.ANGLE:
-            labels = (row.angle,) if row.angle else ()
-        else:
-            labels = (row.size,) if row.size else ()
-        for label in labels:
+        for label in labels(kind, row.motions, row.angle, row.size):
             key = (label, row.metric)
             sums[key] = sums.get(key, 0.0) + row.value
             counts[key] = counts.get(key, 0) + 1
@@ -217,27 +216,10 @@ def bias_report(avg: SaliencyMap, prior: SaliencyMap) -> BiasRecord:
 
 def read_score_rows(path) -> list:
     """Read back a delimited score table written by emit_report."""
-    rows = []
-    with open(path) as f:
-        header = None
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                expected = ["clip_id", "frame_index", "metric", "value",
-                            "motions", "angle", "size"]
-                if header != expected:
-                    raise InputError(f"{path}: not a score table (columns {header})")
-                continue
-            clip, frame, metric, value, motions, angle, size = line.split(",")
-            rows.append(ScoreRow(clip, int(frame), metric, float(value),
-                                 tuple(m for m in motions.split("|") if m),
-                                 angle, size))
-    if header is None:
-        raise InputError(f"{path}: empty score table")
-    return rows
+    _, rows = read_table(path, SCORE_COLUMNS)
+    return [ScoreRow(clip, frame, metric, value, tuple(m for m in motions.split("|") if m),
+                     angle, size)
+            for clip, frame, metric, value, motions, angle, size in rows]
 
 
 class ReportFormat(str, Enum):
@@ -273,41 +255,23 @@ def emit_report(data, path, fmt: ReportFormat = ReportFormat.DELIMITED,
     fmt = ReportFormat(fmt)
     header = _report_meta(meta, aucb_seed)
     if isinstance(data, Mapping):
-        if not data:
-            raise InputError("refusing to emit an empty report")
         metrics_present = {m for row in data.values() for m in row}
         columns = [m for m in METRIC_ORDER if m in metrics_present]
         columns += sorted(metrics_present - set(columns))
-        table = [{"label": label,
-                  **{m: data[label].get(m) for m in columns}}
-                 for label in sorted(data)]
         field_names = ["label"] + columns
+        table = [[label] + [data[label].get(m) for m in columns] for label in sorted(data)]
     else:
-        rows = _sorted_rows(data)
-        if not rows:
-            raise InputError("refusing to emit an empty report")
-        table = [{"clip_id": r.clip_id, "frame_index": r.frame_index,
-                  "metric": r.metric, "value": r.value,
-                  "motions": "|".join(r.motions), "angle": r.angle, "size": r.size}
-                 for r in rows]
-        field_names = ["clip_id", "frame_index", "metric", "value",
-                       "motions", "angle", "size"]
+        field_names = list(SCORE_COLUMNS)
+        table = [[r.clip_id, r.frame_index, r.metric, r.value, "|".join(r.motions),
+                  r.angle, r.size] for r in _sorted_rows(data)]
+    if not table:
+        raise InputError("refusing to emit an empty report")
 
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
+    if fmt is ReportFormat.DELIMITED:
+        write_table(path, field_names, table, meta=dict(sorted(header.items())))
+        return
     with open(path, "w") as f:
-        if fmt is ReportFormat.DELIMITED:
-            for key in sorted(header):
-                f.write(f"# {key}={header[key]}\n")
-            f.write(",".join(field_names) + "\n")
-            for entry in table:
-                f.write(",".join(cell(entry[name]) for name in field_names) + "\n")
-        else:
-            json.dump({"meta": header, "columns": field_names, "rows": table},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
+        json.dump({"meta": header, "columns": field_names,
+                   "rows": [dict(zip(field_names, row)) for row in table]},
+                  f, indent=2, sort_keys=True)
+        f.write("\n")

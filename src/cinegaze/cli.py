@@ -20,9 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .annotations import (PartitionKind, cuts_of, parse_annotations,
+from .annotations import (PartitionKind, cuts_of, labels, parse_annotations,
                           shot_stats)
 from .bench import (DirectoryPredictions, ReportFormat, aggregate_by_annotation,
                     benchmark_model, bias_report, dataset_means, emit_report,
@@ -36,8 +34,10 @@ from .ingest import (ColumnMap, IngestReport, clean_and_bin, filter_observers,
 from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
                   sequence_ioc_summary, write_ioc_series)
 from .metrics import Metric
-from .saliency import blur_fixations, center_prior, make_kernel, to_reference_grid
+from .saliency import (average_map, blur_fixations, center_prior, make_kernel,
+                       to_reference_grid)
 from .stats import one_way_anova, pearson, welch_t_test
+from .tables import read_table, write_table
 
 DEFAULTS = {
     "sigma_px": 45.0,
@@ -58,18 +58,24 @@ DEFAULTS = {
 
 
 def _resolve(args, config: dict, key: str):
+    """A setting from its flag, else the config file, else DEFAULTS; it is
+    converted to the type of its default."""
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return DEFAULTS[key]
+    if value is None:
+        value = config.get(key, DEFAULTS[key])
+    kind = type(DEFAULTS[key])
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{key} must be {kind.__name__}, got {value!r}") from None
 
 
 def _load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as f:
             loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise InputError(f"{args.config}: a config file is a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
@@ -77,18 +83,31 @@ def _load_config(args) -> dict:
     return {}
 
 
+def _load_frames_file(path) -> dict:
+    """--frames-file: a JSON object mapping clip ids to lists of frame indices."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not (isinstance(doc, dict) and all(
+            isinstance(frames, list) and all(isinstance(v, int) for v in frames)
+            for frames in doc.values())):
+        raise InputError(f"{path}: expected a JSON object of clip_id -> [frame, ...]")
+    return {clip: set(frames) for clip, frames in doc.items()}
+
+
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _load_meta(path) -> ClipMeta:
     with open(path) as f:
         return ClipMeta.from_dict(json.load(f))
 
 
-def _echo_config(config_keys, args, config) -> dict:
-    return {k: _resolve(args, config, k) for k in config_keys}
-
-
 def cmd_ingest(args):
     config = _load_config(args)
-    min_rate = float(_resolve(args, config, "min_valid_rate"))
+    min_rate = _resolve(args, config, "min_valid_rate")
     meta = _load_meta(args.meta)
     colmap = ColumnMap.from_json(args.colmap) if args.colmap else ColumnMap()
     report = IngestReport()
@@ -110,13 +129,13 @@ def cmd_ingest(args):
 
 def cmd_saliency(args):
     config = _load_config(args)
-    sigma = float(_resolve(args, config, "sigma_px"))
-    truncation = float(_resolve(args, config, "truncation"))
+    sigma = _resolve(args, config, "sigma_px")
+    truncation = _resolve(args, config, "truncation")
 
     if args.center_prior:
         if not (args.width and args.height):
             raise InputError("--center-prior requires --width and --height")
-        fraction = float(_resolve(args, config, "sigma_fraction"))
+        fraction = _resolve(args, config, "sigma_fraction")
         prior = center_prior(args.width, args.height, fraction)
         write_map(args.center_prior, prior.values)
         print(f"center prior {args.width}x{args.height} -> {args.center_prior}")
@@ -127,32 +146,24 @@ def cmd_saliency(args):
     kernel = make_kernel(sigma, truncation)
 
     if args.average:
-        skip = int(_resolve(args, config, "skip_first"))
-        ref_w = int(_resolve(args, config, "ref_width"))
-        ref_h = int(_resolve(args, config, "ref_height"))
-        frame_filter = None
-        if args.frames_file:
-            with open(args.frames_file) as f:
-                frame_filter = {clip: set(frames)
-                                for clip, frames in json.load(f).items()}
-        acc = np.zeros((ref_h, ref_w))
-        count = 0
-        for path in args.fixations:
-            cleaned = read_fixations(path)
+        skip = _resolve(args, config, "skip_first")
+        ref_w = _resolve(args, config, "ref_width")
+        ref_h = _resolve(args, config, "ref_height")
+        frame_filter = _load_frames_file(args.frames_file) if args.frames_file else None
+
+        def reference_maps(cleaned):
+            """The clip's wanted non-empty frames from ``skip`` on, streamed."""
             wanted = frame_filter.get(cleaned.clip_id) if frame_filter else None
             for f in range(skip, cleaned.frame_count):
-                if wanted is not None and f not in wanted:
-                    continue
-                points = cleaned.frame_points(f)
-                if not points:
-                    continue
-                blurred = blur_fixations(fixation_map_for_frame(cleaned, f), kernel)
-                acc += to_reference_grid(blurred, ref_w, ref_h).values
-                count += 1
-        if count == 0:
-            raise InputError("no frames remain after exclusion")
-        write_map(args.average, acc / count)
-        print(f"average of {count} frames -> {args.average}")
+                if (wanted is None or f in wanted) and cleaned.frame_points(f):
+                    fmap = fixation_map_for_frame(cleaned, f)
+                    # unnamed, the full-resolution blur is freed before the yield
+                    yield to_reference_grid(blur_fixations(fmap, kernel), ref_w, ref_h)
+
+        average = average_map((reference_maps(read_fixations(path))
+                               for path in args.fixations), skip_first=0)
+        write_map(args.average, average.values)
+        print(f"average map -> {args.average}")
         return 0
 
     if not args.out_dir:
@@ -160,15 +171,16 @@ def cmd_saliency(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = args.format
+    lo, hi = 0, sys.maxsize  # every frame unless --frames narrows the range
+    if args.frames:
+        try:
+            lo, hi = (int(v) for v in args.frames.split(":"))
+        except ValueError:
+            raise InputError(f"--frames expects lo:hi, got {args.frames!r}") from None
     written = 0
     for path in args.fixations:
         cleaned = read_fixations(path)
-        if args.frames:
-            lo, hi = (int(v) for v in args.frames.split(":"))
-            frame_range = range(lo, min(hi, cleaned.frame_count))
-        else:
-            frame_range = range(cleaned.frame_count)
-        for f in frame_range:
+        for f in range(lo, min(hi, cleaned.frame_count)):
             if not cleaned.frame_points(f) and not args.frames:
                 continue
             blurred = blur_fixations(fixation_map_for_frame(cleaned, f), kernel)
@@ -181,10 +193,10 @@ def cmd_saliency(args):
 def cmd_ioc(args):
     config = _load_config(args)
     cfg = IocConfig(
-        n=int(_resolve(args, config, "window")),
-        sigma_px=float(_resolve(args, config, "sigma_px")),
-        min_observers=int(_resolve(args, config, "min_observers")),
-        truncation=float(_resolve(args, config, "truncation")),
+        n=_resolve(args, config, "window"),
+        sigma_px=_resolve(args, config, "sigma_px"),
+        min_observers=_resolve(args, config, "min_observers"),
+        truncation=_resolve(args, config, "truncation"),
     )
     meta = _load_meta(args.meta)
     cleaned = read_fixations(args.fixations)
@@ -195,11 +207,8 @@ def cmd_ioc(args):
     print(f"{series.clip_id}: {len(series.values)} windows -> {args.out}")
     if args.summary:
         s = sequence_ioc_summary(series)
-        with open(args.summary, "w") as f:
-            json.dump({"clip_id": series.clip_id, "n": series.n, "mean": s.mean,
-                       "median": s.median, "std": s.std, "count": s.count},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.summary, {"clip_id": series.clip_id, "n": series.n, "mean": s.mean,
+                                   "median": s.median, "std": s.std, "count": s.count})
         print(f"summary mean={s.mean:.4f} -> {args.summary}")
     if args.cut_drop:
         if not args.annotation:
@@ -207,30 +216,29 @@ def cmd_ioc(args):
         ann = parse_annotations(Path(args.annotation).read_text())
         records = cut_drop_analysis(
             series, cuts_of(ann),
-            pre_frames=int(_resolve(args, config, "pre_frames")),
-            post_frames=int(_resolve(args, config, "post_frames")))
-        with open(args.cut_drop, "w") as f:
-            f.write("cut,pre_mean,post_mean,drop,overlaps_context\n")
-            for r in records:
-                cells = [str(r.cut)] + ["" if v is None else repr(v)
-                                        for v in (r.pre_mean, r.post_mean, r.drop)]
-                f.write(",".join(cells) + f",{int(r.overlaps_context)}\n")
+            pre_frames=_resolve(args, config, "pre_frames"),
+            post_frames=_resolve(args, config, "post_frames"))
+        write_table(args.cut_drop, ["cut", "pre_mean", "post_mean", "drop", "overlaps_context"],
+                    [(r.cut, r.pre_mean, r.post_mean, r.drop, int(r.overlaps_context))
+                     for r in records])
         print(f"{len(records)} cuts -> {args.cut_drop}")
     return 0
 
 
 def cmd_bench(args):
     config = _load_config(args)
-    sigma = float(_resolve(args, config, "sigma_px"))
-    seed = int(_resolve(args, config, "auc_b_seed"))
-    splits = int(_resolve(args, config, "auc_b_splits"))
-    kernel = make_kernel(sigma, float(_resolve(args, config, "truncation")))
+    sigma = _resolve(args, config, "sigma_px")
+    seed = _resolve(args, config, "auc_b_seed")
+    splits = _resolve(args, config, "auc_b_splits")
+    kernel = make_kernel(sigma, _resolve(args, config, "truncation"))
     cleaned = read_fixations(args.fixations)
     annotation = None
     if args.annotation:
         annotation = parse_annotations(Path(args.annotation).read_text())
-    metric_set = ([m.strip() for m in args.metrics.split(",")]
-                  if args.metrics else [m.value for m in Metric])
+    known = [m.value for m in Metric]
+    metric_set = [m.strip() for m in args.metrics.split(",")] if args.metrics else known
+    if not set(metric_set) <= set(known):
+        raise InputError(f"--metrics {args.metrics!r}: choose from {', '.join(known)}")
     result = benchmark_model(
         DirectoryPredictions(args.predictions), cleaned, kernel,
         annotation=annotation, metric_set=metric_set,
@@ -241,31 +249,18 @@ def cmd_bench(args):
     emit_report(result.rows, args.out, meta=echo, aucb_seed=seed)
     print(f"{len(result.rows)} scores, {len(result.errors)} frame errors -> {args.out}")
     if args.errors_out and result.errors:
-        with open(args.errors_out, "w") as f:
-            f.write("frame_index,reason\n")
-            for frame, reason in result.errors:
-                f.write(f"{frame},{reason}\n")
+        write_table(args.errors_out, ["frame_index", "reason"], result.errors)
     return 0
 
 
 def cmd_stats(args):
     config = _load_config(args)
-    out = {}
     if args.pairs:
-        xs, ys = [], []
-        with open(args.pairs) as f:
-            header = None
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    ix, iy = header.index(args.x_col), header.index(args.y_col)
-                    continue
-                parts = line.split(",")
-                xs.append(float(parts[ix]))
-                ys.append(float(parts[iy]))
+        if not (args.x_col and args.y_col):
+            raise InputError("--pairs needs --x-col and --y-col")
+        _, rows = read_table(args.pairs, {args.x_col: float, args.y_col: float}, subset=True)
+        # one cell per row when both flags name the same column
+        xs, ys = [row[0] for row in rows], [row[-1] for row in rows]
         r, p = pearson(xs, ys)
         out = {"test": "pearson", "x": args.x_col, "y": args.y_col,
                "n": len(xs), "r": r, "p": p}
@@ -278,22 +273,16 @@ def cmd_stats(args):
         for row in rows:
             if row.metric != args.metric:
                 continue
-            if kind is PartitionKind.MOTION:
-                labels = row.motions
-            elif kind is PartitionKind.ANGLE:
-                labels = (row.angle,) if row.angle else ()
-            else:
-                labels = (row.size,) if row.size else ()
-            for label in labels:
+            for label in labels(kind, row.motions, row.angle, row.size):
                 groups.setdefault(label, []).append(row.value)
         usable = {k: v for k, v in sorted(groups.items()) if len(v) >= 2}
         if len(usable) < 2:
             raise InputError("fewer than two usable groups for ANOVA")
         res = one_way_anova(list(usable.values()), names=list(usable))
         pairwise = {}
-        labels = list(usable)
-        for i, a in enumerate(labels):
-            for b in labels[i + 1:]:
+        names = list(usable)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
                 t, p = welch_t_test(usable[a], usable[b])
                 pairwise[f"{a}|{b}"] = {"t": t, "p": p}
         out = {"test": "one_way_anova", "metric": args.metric,
@@ -301,9 +290,7 @@ def cmd_stats(args):
                "df_between": res.df_between, "df_within": res.df_within,
                "group_sizes": dict(zip(res.group_names, res.group_sizes)),
                "pairwise_welch": pairwise}
-    with open(args.out, "w") as f:
-        json.dump(out, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(args.out, out)
     print(f"stats -> {args.out}")
     return 0
 
@@ -315,29 +302,25 @@ def cmd_report(args):
         avg = SaliencyMap(read_map(args.average))
         prior = SaliencyMap(read_map(args.prior))
         record = bias_report(avg, prior)
-        with open(args.out, "w") as f:
-            json.dump({"cc_with_prior": record.cc_with_prior,
-                       "peak_offset_px": list(record.peak_offset_px)},
-                      f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.out, {"cc_with_prior": record.cc_with_prior,
+                               "peak_offset_px": list(record.peak_offset_px)})
     elif args.shot_stats:
-        fps = float(_resolve(args, config, "fps"))
+        fps = _resolve(args, config, "fps")
         stats_rows = []
         for path in sorted(Path(args.shot_stats).glob("*.json")):
             ann = parse_annotations(path.read_text())
             stats_rows.append(shot_stats(ann, fps))
         if not stats_rows:
             raise InputError(f"no annotation documents under {args.shot_stats}")
-        with open(args.out, "w") as f:
-            f.write("clip_id,sequence_length_s,longest_s,shortest_s,average_s\n")
-            for s in sorted(stats_rows, key=lambda s: s.average_s):
-                f.write(f"{s.clip_id},{s.sequence_length_s!r},{s.longest_s!r},"
-                        f"{s.shortest_s!r},{s.average_s!r}\n")
+        write_table(args.out, ["clip_id", "sequence_length_s", "longest_s", "shortest_s",
+                               "average_s"],
+                    [(s.clip_id, s.sequence_length_s, s.longest_s, s.shortest_s, s.average_s)
+                     for s in sorted(stats_rows, key=lambda s: s.average_s)])
     else:
         if not args.scores:
             raise InputError("report needs --scores, --bias or --shot-stats")
         rows = read_score_rows(args.scores)
-        seed = int(_resolve(args, config, "auc_b_seed"))
+        seed = _resolve(args, config, "auc_b_seed")
         if args.partition:
             data = aggregate_by_annotation(rows, PartitionKind(args.partition))
             echo = {"aggregate": args.partition}

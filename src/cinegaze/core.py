@@ -11,13 +11,25 @@ Coordinate conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FormatError, InputError
+
+_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
+def has_control_chars(text: str) -> bool:
+    """True when ``text`` holds a control character (Unicode category Cc).
+
+    Ids with one are rejected at ingest: they cannot round-trip through
+    the line-based table files.
+    """
+    return _CONTROL_CHARS.search(text) is not None
 
 
 class GazeEvent(str, Enum):
@@ -111,18 +123,26 @@ class ClipMeta:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClipMeta":
+        clip_id = d.get("clip_id") if isinstance(d, dict) else None
+        if not isinstance(clip_id, str) or has_control_chars(clip_id):
+            raise FormatError("clip metadata needs a clip_id string without control characters")
         area = d.get("active_area")
-        return cls(
-            clip_id=d["clip_id"],
-            frame_count=int(d["frame_count"]),
-            frame_width_px=int(d["frame_width_px"]),
-            frame_height_px=int(d["frame_height_px"]),
-            fps=float(d.get("fps", 24.0)),
-            display_width_px=int(d.get("display_width_px", 1920)),
-            display_height_px=int(d.get("display_height_px", 1200)),
-            active_area=Rect(*[float(v) for v in area]) if area is not None else None,
-            px_per_degree=float(d.get("px_per_degree", 45.0)),
-        )
+        try:
+            fields = dict(
+                frame_count=int(d["frame_count"]),
+                frame_width_px=int(d["frame_width_px"]),
+                frame_height_px=int(d["frame_height_px"]),
+                fps=float(d.get("fps", 24.0)),
+                display_width_px=int(d.get("display_width_px", 1920)),
+                display_height_px=int(d.get("display_height_px", 1200)),
+                active_area=Rect(*[float(v) for v in area]) if area is not None else None,
+                px_per_degree=float(d.get("px_per_degree", 45.0)),
+            )
+        except KeyError as exc:
+            raise FormatError(f"clip metadata lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"malformed clip metadata: {exc}") from None
+        return cls(clip_id=clip_id, **fields)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import (ClipMeta, GazeEvent, GazeSample, frame_of, rasterize_point,
-                   to_frame_coords)
-from .core import FixationMap
+from .core import (ClipMeta, FixationMap, GazeEvent, GazeSample, frame_of,
+                   has_control_chars, rasterize_point, to_frame_coords)
 from .errors import FormatError, InputError
+from .tables import read_table, write_table
+
+#: fixation file columns and their cell converters
+FIXATION_COLUMNS = {"observer_id": str, "frame_index": int, "x": float, "y": float}
 
 
 @dataclass
@@ -109,7 +112,13 @@ class ColumnMap:
     @classmethod
     def from_json(cls, path) -> "ColumnMap":
         with open(path) as f:
-            return cls(**json.load(f))
+            doc = json.load(f)
+        known = list(cls.__dataclass_fields__)
+        if not (isinstance(doc, dict) and set(doc) <= set(known)
+                and all(isinstance(v, str) for v in doc.values())):
+            raise InputError(f"{path}: a column map is a JSON object of strings "
+                             f"with keys from {known}")
+        return cls(**doc)
 
 
 _TRUE_TOKENS = {"1", "true", "valid", "yes"}
@@ -132,9 +141,10 @@ def parse_gaze_samples(stream, colmap: ColumnMap = ColumnMap(),
     Returns (records, report): one ObserverRecord per (observer, clip),
     sorted by clip then observer. Rows that cannot be parsed (wrong field
     count, unparseable numbers, non-finite coordinates, negative
-    timestamps) are counted as ``malformed_row`` and skipped. Samples are
-    re-sorted by timestamp when an observer's stream arrives out of order
-    (counted as ``out_of_order_row``).
+    timestamps, empty ids or ids with control characters) are counted as
+    ``malformed_row`` and skipped. Samples are re-sorted by timestamp when
+    an observer's stream arrives out of order (counted as
+    ``out_of_order_row``).
     """
     if report is None:
         report = IngestReport()
@@ -183,12 +193,14 @@ def parse_gaze_samples(stream, colmap: ColumnMap = ColumnMap(),
             continue
         obs = fields[indices["observer_id"]].strip()
         clip = fields[indices["clip_id"]].strip()
-        if not obs or not clip:
-            report.add("malformed_row")
-            continue
-        sample = GazeSample(observer_id=obs, timestamp_ms=t, x=x, y=y, valid=valid,
-                            event=_parse_event(fields[indices["event"]]))
-        streams.setdefault((clip, obs), []).append(sample)
+        stream = streams.get((clip, obs))
+        if stream is None:
+            if not obs or not clip or has_control_chars(obs + clip):
+                report.add("malformed_row")
+                continue
+            stream = streams[(clip, obs)] = []
+        stream.append(GazeSample(observer_id=obs, timestamp_ms=t, x=x, y=y, valid=valid,
+                                 event=_parse_event(fields[indices["event"]])))
 
     records = []
     for (clip, obs) in sorted(streams):
@@ -279,41 +291,19 @@ def fixation_map_for_frame(cleaned: CleanedFixations, frame: int) -> FixationMap
 
 def write_fixations(cleaned: CleanedFixations, path) -> None:
     """Long-form fixation file: one row per point, with clip header lines."""
-    with open(path, "w") as f:
-        f.write(f"# clip_id={cleaned.clip_id}\n")
-        f.write(f"# frame_count={cleaned.frame_count}\n")
-        f.write(f"# width={cleaned.width}\n")
-        f.write(f"# height={cleaned.height}\n")
-        f.write("observer_id,frame_index,x,y\n")
-        for obs in cleaned.observers():
-            for frame, pts in cleaned.by_observer[obs].items():
-                for (x, y) in sorted(pts):
-                    f.write(f"{obs},{frame},{x!r},{y!r}\n")
+    rows = ((obs, frame, x, y) for obs in cleaned.observers()
+            for frame, pts in cleaned.by_observer[obs].items() for (x, y) in sorted(pts))
+    write_table(path, FIXATION_COLUMNS, rows,
+                meta={"clip_id": cleaned.clip_id, "frame_count": cleaned.frame_count,
+                      "width": cleaned.width, "height": cleaned.height})
 
 
 def read_fixations(path) -> CleanedFixations:
     """Inverse of write_fixations."""
-    meta = {}
+    meta, rows = read_table(path, FIXATION_COLUMNS)
     by_observer: dict = {}
-    with open(path) as f:
-        line = f.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value.strip()
-            line = f.readline()
-        if line.strip() != "observer_id,frame_index,x,y":
-            raise FormatError(f"{path}: unexpected fixation file header {line!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obs, frame, x, y = line.split(",")
-                point = (float(x), float(y))
-                frame = int(frame)
-            except ValueError:
-                raise FormatError(f"{path}: malformed fixation row {line!r}") from None
-            by_observer.setdefault(obs, {}).setdefault(frame, []).append(point)
+    for obs, frame, x, y in rows:
+        by_observer.setdefault(obs, {}).setdefault(frame, []).append((x, y))
     try:
         return CleanedFixations(
             clip_id=meta["clip_id"],
@@ -325,3 +315,5 @@ def read_fixations(path) -> CleanedFixations:
         )
     except KeyError as exc:
         raise FormatError(f"{path}: missing fixation file header line for {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad fixation file header line ({exc})") from None

@@ -43,6 +43,7 @@ from .core import ClipMeta, rasterize_point
 from .errors import FormatError, InputError
 from .ingest import CleanedFixations
 from .saliency import make_kernel
+from .tables import optional_float, read_table, write_table
 
 #: decisions echoed into every persisted series (see module docstring)
 SERIES_POLICY = {
@@ -52,6 +53,9 @@ SERIES_POLICY = {
     "partial_windows": "dropped",
 }
 
+#: series file columns and their cell converters
+SERIES_COLUMNS = {"clip_id": str, "window_start": int, "n": int, "score": optional_float}
+
 
 @dataclass(frozen=True)
 class IocConfig:
@@ -59,7 +63,6 @@ class IocConfig:
     sigma_px: float = 45.0
     min_observers: int = 2
     truncation: float = 3.0
-    metric: str = "NSS"  # the one metric this estimator is defined for
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,8 +71,6 @@ class IocConfig:
             raise InputError(f"min_observers must be >= 2, got {self.min_observers}")
         if self.sigma_px <= 0:
             raise InputError(f"sigma_px must be positive, got {self.sigma_px}")
-        if self.metric != "NSS":
-            raise InputError("leave-one-out congruency is defined with the NSS metric")
 
 
 @dataclass
@@ -354,33 +355,13 @@ def write_ioc_series(series: IocSeries, path, meta: Optional[dict] = None) -> No
     header = dict(SERIES_POLICY)
     if meta:
         header.update({str(k): str(v) for k, v in meta.items()})
-    with open(path, "w") as f:
-        for key in sorted(header):
-            f.write(f"# {key}={header[key]}\n")
-        f.write("clip_id,window_start,n,score\n")
-        for start, score in series.values:
-            field = "" if score is None else repr(score)
-            f.write(f"{series.clip_id},{start},{series.n},{field}\n")
+    write_table(path, SERIES_COLUMNS,
+                ((series.clip_id, start, series.n, score) for start, score in series.values),
+                meta=dict(sorted(header.items())))
 
 
 def read_ioc_series(path) -> IocSeries:
-    clip_id = None
-    n = None
-    values = []
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if line == "clip_id,window_start,n,score":
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise FormatError(f"{path}: malformed series row {line!r}")
-            clip_id = parts[0]
-            start = int(parts[1])
-            n = int(parts[2])
-            values.append((start, float(parts[3]) if parts[3] else None))
-    if clip_id is None:
+    _, rows = read_table(path, SERIES_COLUMNS)
+    if not rows:
         raise FormatError(f"{path}: no series rows found")
-    return IocSeries(clip_id, n, 1, values)
+    return IocSeries(rows[0][0], rows[0][2], 1, [(start, score) for _, start, _, score in rows])

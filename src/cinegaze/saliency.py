@@ -8,9 +8,10 @@ renormalization is applied, so edge fixations genuinely weigh less.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -99,20 +100,21 @@ def blur_fixations(fmap: FixationMap, kernel: GaussianKernel) -> SaliencyMap:
     return SaliencyMap(out)
 
 
-def average_map(clips: Iterable[Sequence[SaliencyMap]], skip_first: int = 10) -> SaliencyMap:
+def average_map(clips: Iterable[Iterable[SaliencyMap]], skip_first: int = 10) -> SaliencyMap:
     """Pixelwise mean over all frames of all clips, skipping each clip's
     first ``skip_first`` frames (viewers start at screen center before the
     stimulus registers).
 
     All maps must share one grid; resample beforehand when clips have
-    different aspect ratios (see ``resize_bilinear``).
+    different aspect ratios (see ``resize_bilinear``). Clips may be
+    generators: maps are summed as they arrive, never held together.
     """
     if skip_first < 0:
         raise InputError(f"skip_first must be >= 0, got {skip_first}")
     acc = None
     count = 0
     for maps in clips:
-        for m in maps[skip_first:]:
+        for m in itertools.islice(maps, skip_first, None):
             if acc is None:
                 acc = np.zeros_like(m.values)
             elif m.values.shape != acc.shape:

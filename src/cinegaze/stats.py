@@ -1,7 +1,7 @@
 """Statistical tests: Pearson correlation, one-way ANOVA, Welch's t-test.
 
-Tail probabilities come from the regularized incomplete beta function,
-evaluated with a continued fraction (modified Lentz). The classic
+Tail probabilities come from the regularized incomplete beta function
+(scipy.special.betainc behind an argument-checking wrapper). The classic
 identities used:
 
 * two-sided t-test p-value: I_{df/(df+t^2)}(df/2, 1/2)
@@ -14,48 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CinegazeError, InputError, UndefinedValueError
+from scipy import special
 
-_CF_MAX_ITER = 300
-_CF_EPS = 3e-15
-_CF_FPMIN = 1e-300
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise CinegazeError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+from .errors import InputError, UndefinedValueError
 
 
 def betainc(a: float, b: float, x: float) -> float:
@@ -68,12 +29,7 @@ def betainc(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
+    return float(special.betainc(a, b, x))
 
 
 def t_sf_two_sided(t: float, df: float) -> float:

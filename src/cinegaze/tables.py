@@ -1,0 +1,77 @@
+"""Delimited tables: the one reader and writer behind every CSV file.
+
+A table holds ``# key=value`` metadata lines, the column row, then one
+line per record. Cells use the csv module's minimal quoting, so ids may
+hold commas, quotes or a leading ``#``. Floats are written with ``repr``
+and ``None`` as an empty cell.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+from typing import Iterable, Mapping, Optional
+
+from .errors import FormatError
+
+
+def optional_float(cell: str) -> Optional[float]:
+    """Converter for a float column where an empty cell means absent."""
+    return float(cell) if cell else None
+
+
+def _cell(value):
+    # csv itself writes None as an empty cell; numpy floats would otherwise
+    # be written as np.float64(...)
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_table(path, columns: Iterable[str], rows: Iterable,
+                meta: Optional[Mapping] = None) -> None:
+    """Write the ``meta`` lines in the order given, the column row, the rows."""
+    with open(path, "w", newline="") as f:
+        for key, value in (meta or {}).items():
+            f.write(f"# {key}={value}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_table(path, columns: Mapping, *, subset: bool = False) -> tuple:
+    """(meta, rows) of a table; each row lists its converted cells.
+
+    ``columns`` maps each column name to its cell converter. The column
+    row must equal its keys, or with ``subset`` contain them all (other
+    columns are skipped). ``#`` lines are metadata only before it.
+    """
+    meta = {}
+    with open(path, newline="") as f:
+        line_no = 0
+        for line in f:
+            line_no += 1
+            if line.startswith("#"):
+                key, _, value = line[1:].partition("=")
+                meta[key.strip()] = value.strip()
+            elif line.strip():
+                break
+        else:
+            raise FormatError(f"{path}: no column row")
+        reader = csv.reader(itertools.chain([line], f))
+        header = next(reader)
+        names = list(columns)
+        matches = set(names) <= set(header) if subset else header == names
+        if not matches:
+            raise FormatError(f"{path}:{line_no}: expected columns {names}, found {header}")
+        picks = [(header.index(name), convert) for name, convert in columns.items()]
+        rows = []
+        try:
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} cells, expected {len(header)}")
+                rows.append([convert(cells[i]) for i, convert in picks])
+        except (ValueError, csv.Error) as exc:
+            raise FormatError(f"{path}:{line_no + reader.line_num - 1}: "
+                              f"malformed row ({exc})") from None
+    return meta, rows

@@ -214,3 +214,51 @@ def test_cli_errors_return_nonzero(tmp_path):
                "--meta", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "out.csv")])
     assert rc != 0
+
+
+def _bad_input_argv(name, d: Path) -> list:
+    """Argument list for one malformed user input; files live under d."""
+    fix = str(d / f"{CLIP}_fixations.csv")
+    meta = str(d / "meta.json")
+    if name == "pairs_missing_column":
+        (d / "pairs.csv").write_text("a,b\n1,2\n2,3\n3,5\n")
+        return ["stats", "--pairs", str(d / "pairs.csv"), "--x-col", "nope",
+                "--y-col", "b", "--out", str(d / "o.json")]
+    if name == "colmap_unknown_key":
+        (d / "colmap.json").write_text(json.dumps({"gaze_x": "X"}))
+        return ["ingest", "--gaze", str(d / "gaze.csv"), "--meta", meta,
+                "--colmap", str(d / "colmap.json"), "--out-dir", str(d / "o")]
+    if name == "meta_without_clip_id":
+        (d / "bad_meta.json").write_text(json.dumps({"frame_count": 3}))
+        return ["ingest", "--gaze", str(d / "gaze.csv"), "--meta",
+                str(d / "bad_meta.json"), "--out-dir", str(d / "o")]
+    if name == "frames_not_a_range":
+        return ["saliency", "--fixations", fix, "--out-dir", str(d / "o"),
+                "--frames", "x"]
+    if name == "frames_file_is_a_list":
+        (d / "frames.json").write_text("[1, 2, 3]")
+        return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
+                "--frames-file", str(d / "frames.json")]
+    if name == "unknown_metric":
+        return ["bench", "--fixations", fix, "--predictions", str(d),
+                "--metrics", "XX", "--out", str(d / "s.csv")]
+    if name == "config_value_not_a_number":
+        (d / "config.json").write_text(json.dumps({"window": "abc"}))
+        return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
+                "--config", str(d / "config.json")]
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "pairs_missing_column", "colmap_unknown_key", "meta_without_clip_id",
+    "frames_not_a_range", "frames_file_is_a_list", "unknown_metric",
+    "config_value_not_a_number"])
+def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
+    make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
+    assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
+                 str(tmp_path / "meta.json"), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rc = main(_bad_input_argv(name, tmp_path))
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err

@@ -108,6 +108,9 @@ class TestAverageMap:
         clip = [SaliencyMap(np.full((4, 4), float(i))) for i in range(10)] + [m]
         out = average_map([clip], skip_first=10)
         assert np.array_equal(out.values, m.values)
+        # the same frames streamed: the skip applies to generators too
+        out = average_map((iter(c) for c in [clip]), skip_first=10)
+        assert np.array_equal(out.values, m.values)
 
     def test_mean_of_constants(self):
         clips = [[SaliencyMap(np.full((3, 3), 1.0)), SaliencyMap(np.full((3, 3), 3.0))]]
@@ -118,13 +121,15 @@ class TestAverageMap:
         clips = [[SaliencyMap(g) for g in grids[:2]],
                  [SaliencyMap(g) for g in grids[2:5]],
                  [SaliencyMap(g) for g in grids[5:]]]
-        out = average_map(clips, skip_first=0)
         # plain elementwise sums, written out independently
         expected = np.zeros((4, 4))
         for y in range(4):
             for x in range(4):
                 expected[y, x] = sum(g[y, x] for g in grids) / len(grids)
-        assert np.abs(out.values - expected).max() < 1e-12
+        streamed = ((m for m in maps) for maps in clips)
+        for source in (clips, streamed):
+            out = average_map(source, skip_first=0)
+            assert np.abs(out.values - expected).max() < 1e-12
 
     def test_identical_inputs_fixed_point(self, rng):
         g = SaliencyMap(rng.random((5, 5)))
