@@ -10,7 +10,6 @@ AUC-Borji seed, so scores stay comparable across runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +27,7 @@ from .ingest import CleanedFixations, fixation_map_for_frame
 from .metrics import (KLD_EPSILON, Metric, auc_borji, auc_judd, cc, kld, nss,
                       sim)
 from .saliency import GaussianKernel, blur_fixations, resize_bilinear
-from .tables import read_table, write_table
+from .tables import config_hash, read_table, write_table
 
 METRIC_ORDER = [m.value for m in
                 (Metric.CC, Metric.SIM, Metric.AUC_J, Metric.AUC_B, Metric.NSS, Metric.KLD)]
@@ -227,11 +226,6 @@ class ReportFormat(str, Enum):
     STRUCTURED = "json"
 
 
-def _config_hash(meta: Mapping) -> str:
-    canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
 def _report_meta(meta: Optional[Mapping], aucb_seed) -> dict:
     merged = {
         "tool_version": __version__,
@@ -240,7 +234,7 @@ def _report_meta(meta: Optional[Mapping], aucb_seed) -> dict:
     }
     if meta:
         merged.update({str(k): str(v) for k, v in meta.items()})
-    merged["config_hash"] = _config_hash(merged)
+    merged["config_hash"] = config_hash(merged)
     return merged
 
 

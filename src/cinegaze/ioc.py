@@ -21,8 +21,16 @@ zero-padded separable Gaussian factorizes:
 * map values at fixations: pairwise kernel products.
 
 This is algebraically identical to blurring and z-scoring dense grids
-(the naive route lives in the test suite as an oracle) but costs
-O(points^2) per window instead of O(pixels * kernel).
+(the naive route lives in the test suite as an oracle). The second
+moment and the values at fixations reduce to two observer-by-observer
+matrices of pair sums over the window's pixels, and these slide with the
+window: a step subtracts the pairs of the pixels that leave it and adds
+those of the pixels that enter it. A step costs (entering + leaving
+pixels) x window pixels pair evaluations instead of window pixels^2, and
+nothing is O(pixels * kernel). The sums are rebuilt from scratch every
+``_REANCHOR`` windows, which bounds the rounding drift, and on any step
+where sliding would cost more pair evaluations than rebuilding (as with
+single-frame windows).
 
 Semantics pinned here and echoed in series-file metadata: stride is one
 frame; windows truncated by the clip end are dropped; each observer's
@@ -39,11 +47,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .core import ClipMeta, rasterize_point
 from .errors import FormatError, InputError
 from .ingest import CleanedFixations
 from .saliency import make_kernel
-from .tables import optional_float, read_table, write_table
+from .tables import config_hash, optional_float, read_table, write_table
 
 #: decisions echoed into every persisted series (see module docstring)
 SERIES_POLICY = {
@@ -155,33 +164,36 @@ def _corr_table(k1: np.ndarray, r: int, length: int) -> np.ndarray:
     return table
 
 
-def _window_pixel_arrays(fixations: CleanedFixations, width: int, height: int):
-    """Per-observer frame-sorted encoded pixel arrays plus window index maps.
+def _window_keys(fixations: CleanedFixations, width: int, height: int):
+    """Frame-sorted frame indices and keys of every rasterized point.
 
-    Returns (frame_arrays, pixel_arrays): for observer i, frame_arrays[i]
-    is the sorted frame index of every rasterized point and pixel_arrays[i]
-    the matching y * width + x code. Windows slice these with searchsorted.
+    A point of observer i (in ``observers()`` order) on pixel (x, y) gets
+    the key i * width * height + y * width + x, so a sorted key array is
+    grouped by observer and a window's binary pixel sets are the unique
+    keys of its slice.
     """
-    frame_arrays = []
-    pixel_arrays = []
-    for obs in fixations.observers():
-        frames = []
-        codes = []
+    n_pixels = width * height
+    frames = []
+    keys = []
+    for oi, obs in enumerate(fixations.observers()):
         for t, pts in fixations.by_observer[obs].items():
             if not (0 <= t < fixations.frame_count):
                 raise InputError(f"fixation on out-of-range frame {t}")
             for (x, y) in pts:
                 xi, yi = rasterize_point(x, y, width, height)
                 frames.append(t)
-                codes.append(yi * width + xi)
-        order = np.argsort(np.asarray(frames, dtype=np.int64), kind="stable")
-        frame_arrays.append(np.asarray(frames, dtype=np.int64)[order])
-        pixel_arrays.append(np.asarray(codes, dtype=np.int64)[order])
-    return frame_arrays, pixel_arrays
+                keys.append(oi * n_pixels + yi * width + xi)
+    frames = np.asarray(frames, dtype=np.int64)
+    order = np.argsort(frames, kind="stable")
+    return frames[order], np.asarray(keys, dtype=np.int64)[order]
 
 
 # row-block size cap so pairwise temporaries stay within ~32 MB
 _PAIR_BLOCK_ELEMENTS = 4_000_000
+
+#: windows between from-scratch rebuilds of the pair sums, bounding the
+#: rounding drift of the incremental updates
+_REANCHOR = 64
 
 
 def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
@@ -190,7 +202,7 @@ def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
 
     Every complete window [t, t + n) at stride 1 gets one score (or None
     when nothing is scorable). Requires at least ``cfg.min_observers``
-    observers in the input.
+    observers in the input and a window no longer than the clip.
     """
     observers = fixations.observers()
     n_obs = len(observers)
@@ -204,6 +216,8 @@ def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
             f"meta says {width}x{height}")
     total_frames = fixations.frame_count
     n = cfg.n
+    if n > total_frames:
+        raise InputError(f"window of {n} frames is longer than the clip ({total_frames} frames)")
 
     kernel = make_kernel(cfg.sigma_px, cfg.truncation)
     k1 = kernel.weights_1d
@@ -213,73 +227,98 @@ def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
     kval[:reach] = k1[r:r + reach]
     mass_x = _border_mass(k1, r, width)
     mass_y = _border_mass(k1, r, height)
-    corr_x = _corr_table(k1, r, width)
-    corr_y = _corr_table(k1, r, height)
+    # flat corr tables: row d, column m sits at d * length + m
+    corr_x = _corr_table(k1, r, width).ravel()
+    corr_y = _corr_table(k1, r, height).ravel()
     zero_row = 2 * r + 1  # index of the padding row in the corr tables
-
-    frame_arrays, pixel_arrays = _window_pixel_arrays(fixations, width, height)
-    n_windows = max(0, total_frames - n + 1)
-    window_starts = np.arange(n_windows)
-    lo_idx = [np.searchsorted(fa, window_starts, side="left") for fa in frame_arrays]
-    hi_idx = [np.searchsorted(fa, window_starts + n, side="left") for fa in frame_arrays]
-
     n_pixels = width * height
-    values = []
-    for t in range(n_windows):
-        per_obs = []
-        active = []
-        for oi in range(n_obs):
-            seg = pixel_arrays[oi][lo_idx[oi][t]:hi_idx[oi][t]]
-            if seg.size:
-                per_obs.append(np.unique(seg))
-                active.append(oi)
-        if len(active) < 2:
-            values.append((t, None))
-            continue
-        counts = np.array([a.size for a in per_obs])
-        offsets = np.zeros(len(active), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        codes = np.concatenate(per_obs)
-        total_pts = codes.size
-        xs = codes % width
-        ys = codes // width
 
-        point_mass = mass_x[xs] * mass_y[ys]
-        mass_per = np.add.reduceat(point_mass, offsets)
-        mass_tot = float(mass_per.sum())
-
-        # pairwise kernel values and correlations, reduced per observer
-        row_by_obs = np.empty((total_pts, len(active)))
-        corr_by_obs = np.empty((total_pts, len(active)))
-        block = max(1, _PAIR_BLOCK_ELEMENTS // total_pts)
-        for b0 in range(0, total_pts, block):
-            b1 = min(total_pts, b0 + block)
-            dx = np.abs(xs[b0:b1, None] - xs[None, :])
-            dy = np.abs(ys[b0:b1, None] - ys[None, :])
-            g = kval[dx] * kval[dy]
-            row_by_obs[b0:b1] = np.add.reduceat(g, offsets, axis=1)
+    def pair_sums(p_keys, q_keys):
+        """(A, V) with A[a, b] the sum of kernel values and V[a, b] the sum
+        of kernel correlations over pairs (p, q), p in p_keys of observer a,
+        q in q_keys of observer b. Both key arrays are sorted."""
+        a_sums = np.zeros((n_obs, n_obs))
+        v_sums = np.zeros((n_obs, n_obs))
+        if not (p_keys.size and q_keys.size):
+            return a_sums, v_sums
+        p_obs, p_pix = np.divmod(p_keys, n_pixels)
+        q_obs, q_pix = np.divmod(q_keys, n_pixels)
+        py, px = np.divmod(p_pix, width)
+        qy, qx = np.divmod(q_pix, width)
+        p_present, p_starts = np.unique(p_obs, return_index=True)
+        q_present, q_starts = np.unique(q_obs, return_index=True)
+        rows_a = np.empty((p_keys.size, q_present.size))
+        rows_v = np.empty((p_keys.size, q_present.size))
+        block = max(1, _PAIR_BLOCK_ELEMENTS // q_keys.size)
+        for b0 in range(0, p_keys.size, block):
+            b1 = min(p_keys.size, b0 + block)
+            dx = np.abs(px[b0:b1, None] - qx[None, :])
+            dy = np.abs(py[b0:b1, None] - qy[None, :])
+            rows_a[b0:b1] = np.add.reduceat(kval[dx] * kval[dy], q_starts, axis=1)
             np.minimum(dx, zero_row, out=dx)
             np.minimum(dy, zero_row, out=dy)
-            c = (corr_x[dx, np.minimum(xs[b0:b1, None], xs[None, :])]
-                 * corr_y[dy, np.minimum(ys[b0:b1, None], ys[None, :])])
-            corr_by_obs[b0:b1] = np.add.reduceat(c, offsets, axis=1)
-        row_total = row_by_obs.sum(axis=1)
-        v = np.add.reduceat(corr_by_obs, offsets, axis=0)  # (n_active, n_active)
-        v_tot = float(v.sum())
-        v_row = v.sum(axis=1)
+            dx *= width
+            dx += np.minimum(px[b0:b1, None], qx[None, :])
+            dy *= height
+            dy += np.minimum(py[b0:b1, None], qy[None, :])
+            rows_v[b0:b1] = np.add.reduceat(corr_x[dx] * corr_y[dy], q_starts, axis=1)
+        cells = np.ix_(p_present, q_present)
+        a_sums[cells] = np.add.reduceat(rows_a, p_starts, axis=0)
+        v_sums[cells] = np.add.reduceat(rows_v, p_starts, axis=0)
+        return a_sums, v_sums
+
+    frames, keys = _window_keys(fixations, width, height)
+    window_starts = np.arange(total_frames - n + 1)
+    lo_idx = np.searchsorted(frames, window_starts, side="left")
+    hi_idx = np.searchsorted(frames, window_starts + n, side="left")
+
+    values = []
+    prev = keys[:0]
+    since_anchor = _REANCHOR
+    for t in range(window_starts.size):
+        cur = np.unique(keys[lo_idx[t]:hi_idx[t]])
+        gone = np.setdiff1d(prev, cur, assume_unique=True)
+        came = np.setdiff1d(cur, prev, assume_unique=True)
+        step_pairs = gone.size * (prev.size + gone.size) + came.size * (cur.size + came.size)
+        if since_anchor >= _REANCHOR or step_pairs >= cur.size * cur.size:
+            a_sums, v_sums = pair_sums(cur, cur)
+            since_anchor = 0
+        else:
+            # the pairs of S that touch D (gone from S, or came into it)
+            # are X + X.T - Y, X over D x S and Y over D x D: X and X.T
+            # both hold the pairs inside D
+            for delta, window, sign in ((gone, prev, -1.0), (came, cur, 1.0)):
+                x_a, x_v = pair_sums(delta, window)
+                y_a, y_v = pair_sums(delta, delta)
+                a_sums += sign * (x_a + x_a.T - y_a)
+                v_sums += sign * (x_v + x_v.T - y_v)
+        since_anchor += 1
+        prev = cur
+
+        obs, pix = np.divmod(cur, n_pixels)
+        counts = np.bincount(obs, minlength=n_obs)
+        active = np.flatnonzero(counts)
+        if active.size < 2:
+            values.append((t, None))
+            continue
+        ys, xs = np.divmod(pix, width)
+        mass_per = np.bincount(obs, weights=mass_x[xs] * mass_y[ys], minlength=n_obs)
+        mass_tot = float(mass_per.sum())
+        v_tot = float(v_sums.sum())
+        v_row = v_sums.sum(axis=1)
+        a_row = a_sums.sum(axis=1)
 
         scores = []
-        for a in range(len(active)):
-            if total_pts - counts[a] == 0:
+        for a in active:
+            if cur.size - counts[a] == 0:
                 continue  # nobody left to build the map from
             mu = (mass_tot - float(mass_per[a])) / n_pixels
-            second = (v_tot - 2.0 * float(v_row[a]) + float(v[a, a])) / n_pixels
+            second = (v_tot - 2.0 * float(v_row[a]) + float(v_sums[a, a])) / n_pixels
             var = second - mu * mu
             if var <= 0.0:
                 continue  # the leave-one-out map is constant
-            sl = slice(offsets[a], offsets[a] + counts[a])
-            s_at_fix = row_total[sl] - row_by_obs[sl, a]
-            scores.append((float(s_at_fix.mean()) - mu) / math.sqrt(var))
+            s_at_fix = (float(a_row[a]) - float(a_sums[a, a])) / int(counts[a])
+            scores.append((s_at_fix - mu) / math.sqrt(var))
         values.append((t, sum(scores) / len(scores) if scores else None))
     return IocSeries(fixations.clip_id, n, 1, values)
 
@@ -349,12 +388,14 @@ def cut_drop_analysis(series: IocSeries, cuts: Sequence[int],
 def write_ioc_series(series: IocSeries, path, meta: Optional[dict] = None) -> None:
     """Persist a series as delimited text: clip_id, window_start, n, score.
 
-    Absent scores serialize as an empty field. Estimator policy decisions
-    are always echoed in the header.
+    Absent scores serialize as an empty field. Estimator policy decisions,
+    the tool version and a hash of the whole header are always echoed in
+    the header.
     """
-    header = dict(SERIES_POLICY)
+    header = dict(SERIES_POLICY, tool_version=__version__)
     if meta:
         header.update({str(k): str(v) for k, v in meta.items()})
+    header["config_hash"] = config_hash(header)
     write_table(path, SERIES_COLUMNS,
                 ((series.clip_id, start, series.n, score) for start, score in series.values),
                 meta=dict(sorted(header.items())))

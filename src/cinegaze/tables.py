@@ -3,13 +3,16 @@
 A table holds ``# key=value`` metadata lines, the column row, then one
 line per record. Cells use the csv module's minimal quoting, so ids may
 hold commas, quotes or a leading ``#``. Floats are written with ``repr``
-and ``None`` as an empty cell.
+and ``None`` as an empty cell. ``config_hash`` is the one digest that
+report and series headers carry for their metadata.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
+import json
 from typing import Iterable, Mapping, Optional
 
 from .errors import FormatError
@@ -18,6 +21,12 @@ from .errors import FormatError
 def optional_float(cell: str) -> Optional[float]:
     """Converter for a float column where an empty cell means absent."""
     return float(cell) if cell else None
+
+
+def config_hash(meta: Mapping) -> str:
+    """Short digest of a metadata mapping, independent of key order."""
+    canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _cell(value):

@@ -242,6 +242,9 @@ def _bad_input_argv(name, d: Path) -> list:
     if name == "unknown_metric":
         return ["bench", "--fixations", fix, "--predictions", str(d),
                 "--metrics", "XX", "--out", str(d / "s.csv")]
+    if name == "window_longer_than_clip":
+        return ["ioc", "--fixations", fix, "--meta", meta, "--window", str(FRAMES + 1),
+                "--out", str(d / "s.csv")]
     if name == "config_value_not_a_number":
         (d / "config.json").write_text(json.dumps({"window": "abc"}))
         return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
@@ -252,7 +255,7 @@ def _bad_input_argv(name, d: Path) -> list:
 @pytest.mark.parametrize("name", [
     "pairs_missing_column", "colmap_unknown_key", "meta_without_clip_id",
     "frames_not_a_range", "frames_file_is_a_list", "unknown_metric",
-    "config_value_not_a_number"])
+    "config_value_not_a_number", "window_longer_than_clip"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
@@ -262,3 +265,4 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "s.csv").exists()

@@ -1,14 +1,16 @@
+import numpy as np
 import pytest
 
 from cinegaze.core import ClipMeta
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.ingest import CleanedFixations, build_fixation_map
-from cinegaze.ioc import (IocConfig, IocSeries, convex_hull_area,
-                          cut_drop_analysis, loo_window_ioc, read_ioc_series,
-                          sequence_ioc_summary, write_ioc_series)
+from cinegaze.ioc import (_REANCHOR, SERIES_COLUMNS, IocConfig, IocSeries,
+                          convex_hull_area, cut_drop_analysis, loo_window_ioc,
+                          read_ioc_series, sequence_ioc_summary, write_ioc_series)
 from cinegaze.metrics import nss
 from cinegaze.saliency import blur_fixations, make_kernel
+from cinegaze.tables import read_table
 
 from conftest import scanpath_battery
 from oracles import hull_area_bruteforce, naive_loo_window_ioc
@@ -221,6 +223,48 @@ class TestLooWindowIoc:
                 else:
                     assert v1 == pytest.approx(v2, abs=1e-6)
 
+    def test_window_longer_than_clip_rejected(self):
+        fix = cleaned_from({"a": {0: [(1.0, 1.0)]}, "b": {1: [(2.0, 2.0)]}}, 4, 10, 10)
+        assert len(loo_window_ioc(fix, meta_for_dims(fix), IocConfig(n=4, sigma_px=1.0)).values) == 1
+        with pytest.raises(InputError):
+            loo_window_ioc(fix, meta_for_dims(fix), IocConfig(n=5, sigma_px=1.0))
+
+    def test_sliding_window_equals_single_window_recomputation(self):
+        # the series slides its pair sums from window to window and
+        # rebuilds them every _REANCHOR windows (and at every window for
+        # n=1, where sliding costs more); each score must equal the same
+        # window scored on its own. A small grid makes pixels repeat
+        # within and across observers' windows, observer o5 is silent for
+        # longer than a window, and later only o0 looks, long enough for
+        # windows with an absent score.
+        w, h, frames = 64, 48, 2 * _REANCHOR + 20
+        rng = np.random.default_rng(5)
+        by_obs = {}
+        for i in range(6):
+            center = rng.uniform((8, 8), (w - 8, h - 8))
+            by_obs[f"o{i}"] = {}
+            for t in range(frames):
+                if (i == 5 and 40 <= t < 52) or (i > 0 and 100 <= t < 111):
+                    continue
+                center = np.clip(center + rng.normal(0, 1.5, 2), 4, (w - 5, h - 5))
+                pts = np.clip(center + rng.normal(0, 3.0, (8, 2)), 0, (w - 1, h - 1))
+                by_obs[f"o{i}"][t] = [(float(x), float(y)) for x, y in pts]
+        fix = cleaned_from(by_obs, frames, w, h)
+        for n in (1, 7):
+            cfg = IocConfig(n=n, sigma_px=2.0)
+            series = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+            assert len(series.values) == frames - n + 1
+            assert any(score is None for _, score in series.values)
+            for t, score in series.values:
+                window = {o: {f - t: fr[f] for f in range(t, t + n) if f in fr}
+                          for o, fr in by_obs.items()}
+                alone = cleaned_from(window, n, w, h)
+                (_, ref), = loo_window_ioc(alone, meta_for_dims(alone), cfg).values
+                if ref is None:
+                    assert score is None, t
+                else:
+                    assert score == pytest.approx(ref, abs=1e-9), (n, t)
+
 
 def meta_for_dims(fix):
     return ClipMeta(fix.clip_id, fix.frame_count, fix.width, fix.height)
@@ -317,6 +361,18 @@ class TestSeriesFiles:
         text = path.read_text()
         assert "# observer_eligibility=" in text
         assert "# partial_windows=dropped" in text
+        assert "# tool_version=" in text
+        # the config hash repeats for the same meta in any order, and
+        # changes with the window
+        hashes = []
+        for i, meta in enumerate(({"window": 5, "sigma_px": 45.0},
+                                  {"sigma_px": 45.0, "window": 5},
+                                  {"window": 20, "sigma_px": 45.0})):
+            path = tmp_path / f"series{i}.csv"
+            write_ioc_series(series, path, meta=meta)
+            hashes.append(read_table(path, SERIES_COLUMNS)[0]["config_hash"])
+        assert hashes[0] == hashes[1]
+        assert hashes[0] != hashes[2]
 
     def test_absent_field_is_empty(self, tmp_path):
         series = IocSeries("c", 5, 1, [(0, None)])
