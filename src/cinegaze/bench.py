@@ -24,8 +24,7 @@ from .core import SaliencyMap
 from .errors import CinegazeError, InputError
 from .gridio import read_map
 from .ingest import CleanedFixations, fixation_map_for_frame
-from .metrics import (KLD_EPSILON, Metric, auc_borji, auc_judd, cc, kld, nss,
-                      sim)
+from .metrics import KLD_EPSILON, Metric, cc, score_frame
 from .saliency import GaussianKernel, blur_fixations, resize_bilinear
 from .tables import config_hash, read_table, write_table
 
@@ -82,6 +81,14 @@ def _load_prediction(predictions, frame: int) -> np.ndarray:
     raise InputError("predictions must expose .load(frame) or be a frame mapping")
 
 
+def _prediction_map(predictions, frame: int, shape: tuple) -> SaliencyMap:
+    """The frame's prediction on the ground-truth grid, clamped at zero."""
+    pred = _load_prediction(predictions, frame)
+    if pred.shape != shape:
+        pred = resize_bilinear(pred, shape[1], shape[0])
+    return SaliencyMap(np.maximum(pred, 0.0))
+
+
 def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKernel,
                     *, annotation: Optional[ClipAnnotation] = None,
                     metric_set: Sequence[str] = tuple(METRIC_ORDER),
@@ -113,13 +120,13 @@ def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKern
         fmap = fixation_map_for_frame(cleaned, f)
         gt_blur = blur_fixations(fmap, kernel)
         try:
-            pred = _load_prediction(predictions, f)
-            if pred.shape != gt_blur.values.shape:
-                pred = resize_bilinear(pred, cleaned.width, cleaned.height)
-            pred_map = SaliencyMap(np.maximum(pred, 0.0))
+            pred_map = _prediction_map(predictions, f, gt_blur.values.shape)
         except (OSError, CinegazeError, ValueError) as exc:
             errors.append((f, f"prediction unusable: {exc}"))
             continue
+        scores = score_frame(pred_map, gt_blur, fmap, metric_set, negatives_per_fixation,
+                             aucb_splits, seed=aucb_seed + f)
+        del pred_map, gt_blur  # not kept alive while the next frame's maps are built
         if annotation is not None:
             shot = shot_at(annotation, f)
             motions = tuple(sorted(m.value for m in shot.motions))
@@ -128,24 +135,11 @@ def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKern
         else:
             motions, angle, size = (), "", ""
         for name in metric_set:
-            try:
-                if name == Metric.CC.value:
-                    value = cc(pred_map, gt_blur)
-                elif name == Metric.SIM.value:
-                    value = sim(pred_map, gt_blur)
-                elif name == Metric.AUC_J.value:
-                    value = auc_judd(pred_map, fmap)
-                elif name == Metric.AUC_B.value:
-                    value = auc_borji(pred_map, fmap, negatives_per_fixation,
-                                      aucb_splits, seed=aucb_seed + f)
-                elif name == Metric.NSS.value:
-                    value = nss(pred_map, fmap)
-                else:
-                    value = kld(pred_map, gt_blur)
-            except CinegazeError as exc:
-                errors.append((f, f"{name}: {exc}"))
-                continue
-            rows.append(ScoreRow(cleaned.clip_id, f, name, value, motions, angle, size))
+            value = scores[name]
+            if isinstance(value, CinegazeError):
+                errors.append((f, f"{name}: {value}"))
+            else:
+                rows.append(ScoreRow(cleaned.clip_id, f, name, value, motions, angle, size))
     return BenchResult(rows, errors)
 
 

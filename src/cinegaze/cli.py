@@ -95,9 +95,13 @@ def _load_frames_file(path) -> dict:
 
 
 def _write_json(path, doc: dict) -> None:
+    """Strict JSON: a NaN or infinity is an InputError, and no file is written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"{path}: result is not finite ({exc})") from None
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _load_meta(path) -> ClipMeta:

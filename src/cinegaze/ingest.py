@@ -298,9 +298,20 @@ def write_fixations(cleaned: CleanedFixations, path) -> None:
                       "width": cleaned.width, "height": cleaned.height})
 
 
+def _on_clip_frame(meta: dict, row: list) -> None:
+    frame_count = meta.get("frame_count", "")
+    # a missing or bad header line is reported once the rows are read
+    if frame_count.isdigit() and not 0 <= row[1] < int(frame_count):
+        raise ValueError(f"frame {row[1]} outside [0, {frame_count})")
+
+
 def read_fixations(path) -> CleanedFixations:
-    """Inverse of write_fixations."""
-    meta, rows = read_table(path, FIXATION_COLUMNS)
+    """Inverse of write_fixations.
+
+    A point on a frame outside [0, frame_count) is a FormatError that
+    names its line.
+    """
+    meta, rows = read_table(path, FIXATION_COLUMNS, check=_on_clip_frame)
     by_observer: dict = {}
     for obs, frame, x, y in rows:
         by_observer.setdefault(obs, {}).setdefault(frame, []).append((x, y))

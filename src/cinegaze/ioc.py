@@ -177,8 +177,6 @@ def _window_keys(fixations: CleanedFixations, width: int, height: int):
     keys = []
     for oi, obs in enumerate(fixations.observers()):
         for t, pts in fixations.by_observer[obs].items():
-            if not (0 <= t < fixations.frame_count):
-                raise InputError(f"fixation on out-of-range frame {t}")
             for (x, y) in pts:
                 xi, yi = rasterize_point(x, y, width, height)
                 frames.append(t)

@@ -13,17 +13,22 @@ Conventions pinned here and echoed in report headers:
   and a constant map gets exactly 0.5;
 * KLD(P, Q) treats Q as ground truth and regularizes only the prediction:
   sum Q * log(Q / (P + eps)) on unit-sum maps, eps = 1e-7.
+
+``score_frame`` scores every metric of one frame from shared
+intermediates; the six public functions share its kernels and agree
+with it bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .core import FixationMap
-from .errors import InputError, UndefinedValueError
+from .errors import CinegazeError, InputError, UndefinedValueError
 
 KLD_EPSILON = 1e-7
 
@@ -35,13 +40,6 @@ class Metric(str, Enum):
     AUC_B = "AUC_B"
     NSS = "NSS"
     KLD = "KLD"
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    metric: Metric
-    value: float
-    frame_index: int
 
 
 def _grid(m) -> np.ndarray:
@@ -59,14 +57,130 @@ def _paired(p, q):
     return pv, qv
 
 
-def _fixation_mask(f: FixationMap, shape) -> np.ndarray:
+def _fixated(f: FixationMap, shape) -> np.ndarray:
+    """Row-major sorted flat positions y * width + x of the fixated pixels."""
     if (f.height, f.width) != shape:
         raise InputError(
             f"fixation map is {f.width}x{f.height}, saliency map is {shape[1]}x{shape[0]}")
-    mask = np.zeros(shape, dtype=bool)
-    for (x, y) in f.points:
-        mask[y, x] = True
-    return mask
+    pos = np.fromiter((y * f.width + x for (x, y) in f.points), dtype=np.int64,
+                      count=len(f.points))
+    pos.sort()
+    return pos
+
+
+# Kernels shared by the public functions and score_frame, so that both
+# give the same value bit for bit on the same map.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of the elementwise products of two maps, in one pass and
+    without a full-grid temporary. einsum runs its own loop, not BLAS,
+    so the bits do not depend on the BLAS thread count."""
+    return float(np.einsum("ij,ij->", a, b))
+
+
+def _centered(v: np.ndarray) -> tuple:
+    """(v - mean, sum of squared deviations)."""
+    d = v - v.mean()
+    return d, _dot(d, d)
+
+
+def _cc(dp, ssp: float, dq, ssq: float) -> float:
+    sp, sq = math.sqrt(ssp), math.sqrt(ssq)
+    if sp == 0.0 and sq == 0.0:
+        raise UndefinedValueError("cc undefined: both maps are constant")
+    if sp == 0.0 or sq == 0.0:
+        return 0.0
+    r = _dot(dp, dq) / (sp * sq)
+    return min(1.0, max(-1.0, r))
+
+
+def _nss(fixated_deviations: np.ndarray, ss: float, n: int) -> float:
+    if fixated_deviations.size == 0:
+        raise InputError("nss requires at least one fixation")
+    sd = math.sqrt(ss / n)  # population standard deviation
+    if sd == 0.0:
+        raise UndefinedValueError("nss undefined: saliency map is constant")
+    return float((fixated_deviations / sd).mean())
+
+
+def _normalized(pv, qv, name: str) -> tuple:
+    """Both maps scaled to unit sum; InputError unless both masses are positive."""
+    ps, qs = float(pv.sum()), float(qv.sum())
+    if ps <= 0 or qs <= 0:
+        raise InputError(f"{name} requires maps with positive total mass")
+    return pv / ps, qv / qs
+
+
+def _sim(pn, qn) -> float:
+    return float(np.minimum(pn, qn).sum())
+
+
+def _kld(pn, qn, epsilon: float) -> float:
+    support = qn > 0
+    q = qn[support]
+    return float((q * (np.log(q) - np.log(pn[support] + epsilon))).sum())
+
+
+def _at_or_above(sorted_vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many of ``sorted_vals`` are >= each threshold."""
+    return sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side="left")
+
+
+def _roc_area(n_tp: np.ndarray, nfix: int, n_fp: np.ndarray, nneg: int) -> float:
+    """Trapezoidal ROC area from exact counts at descending thresholds.
+
+    ``n_tp`` and ``n_fp`` count the fixations and the negatives at or
+    above each threshold. Integer counts make the ROC points reproducible
+    bit for bit; the cumulative sum adds the trapezoids in order, as a
+    sequential loop would.
+    """
+    tp = np.concatenate(([0.0], n_tp / nfix, [1.0]))
+    fp = np.concatenate(([0.0], n_fp / nneg, [1.0]))
+    return float(np.cumsum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1]) / 2.0)[-1])
+
+
+def _fixated_roc(flat: np.ndarray, fpos: np.ndarray) -> tuple:
+    """(sorted fixated values, descending thresholds, fixations at or above
+    each) for the ROC curves of both AUCs."""
+    if fpos.size == 0:
+        raise InputError("AUC requires at least one fixation")
+    if fpos.size == flat.size:
+        raise InputError("AUC requires at least one non-fixated pixel")
+    fix_sorted = np.sort(flat[fpos])
+    thresholds = fix_sorted[::-1]
+    return fix_sorted, thresholds, _at_or_above(fix_sorted, thresholds)
+
+
+def _auc_judd(flat: np.ndarray, fpos: np.ndarray) -> float:
+    fix_sorted, thresholds, n_tp = _fixated_roc(flat, fpos)
+    # no threshold lies below the lowest fixated value, so only the pixels
+    # at or above it are sorted; negatives are all of them minus fixations
+    above = flat[flat >= fix_sorted[0]]
+    above.sort()
+    n_fp = _at_or_above(above, thresholds) - n_tp
+    return _roc_area(n_tp, fpos.size, n_fp, flat.size - fpos.size)
+
+
+def _auc_borji(flat: np.ndarray, fpos: np.ndarray, negatives_per_fixation: int,
+               splits: int, seed: int) -> float:
+    if negatives_per_fixation < 1:
+        raise InputError("negatives_per_fixation must be >= 1")
+    if splits < 1:
+        raise InputError("splits must be >= 1")
+    _, thresholds, n_tp = _fixated_roc(flat, fpos)
+    n_neg = fpos.size * negatives_per_fixation
+    # skips[j] counts the non-fixated pixels before fixation j, so the i-th
+    # non-fixated pixel in row-major order sits at flat position i plus the
+    # number of fixations with skips <= i; the pool itself is never built
+    skips = fpos - np.arange(fpos.size)
+    pool = flat.size - fpos.size
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(splits):
+        idx = rng.integers(0, pool, size=n_neg)
+        negatives = np.sort(flat[idx + np.searchsorted(skips, idx, side="right")])
+        total += _roc_area(n_tp, fpos.size, _at_or_above(negatives, thresholds), n_neg)
+    return total / splits
 
 
 def cc(p, q) -> float:
@@ -76,83 +190,26 @@ def cc(p, q) -> float:
     constant the correlation carries no signal and 0.0 is returned.
     """
     pv, qv = _paired(p, q)
-    dp = pv - pv.mean()
-    dq = qv - qv.mean()
-    sp = float(np.sqrt((dp * dp).sum()))
-    sq = float(np.sqrt((dq * dq).sum()))
-    if sp == 0.0 and sq == 0.0:
-        raise UndefinedValueError("cc undefined: both maps are constant")
-    if sp == 0.0 or sq == 0.0:
-        return 0.0
-    r = float((dp * dq).sum()) / (sp * sq)
-    return min(1.0, max(-1.0, r))
+    return _cc(*_centered(pv), *_centered(qv))
 
 
 def sim(p, q) -> float:
     """Histogram intersection: sum of pixelwise minima of unit-sum maps."""
-    pv, qv = _paired(p, q)
-    ps, qs = float(pv.sum()), float(qv.sum())
-    if ps <= 0 or qs <= 0:
-        raise InputError("sim requires maps with positive total mass")
-    return float(np.minimum(pv / ps, qv / qs).sum())
+    return _sim(*_normalized(*_paired(p, q), "sim"))
 
 
 def nss(s, f: FixationMap) -> float:
     """Normalized scanpath saliency: mean z-scored value at fixated pixels."""
     sv = _grid(s)
-    if len(f.points) == 0:
-        raise InputError("nss requires at least one fixation")
-    mask = _fixation_mask(f, sv.shape)
-    mu = float(sv.mean())
-    sd = float(sv.std())  # population standard deviation
-    if sd == 0.0:
-        raise UndefinedValueError("nss undefined: saliency map is constant")
-    return float(((sv[mask] - mu) / sd).mean())
-
-
-def _roc_area(fix_vals: np.ndarray, neg_vals: np.ndarray) -> float:
-    """Trapezoidal ROC area, thresholds swept over the fixation values.
-
-    True positive rate: fraction of fixations at or above the threshold.
-    False positive rate: fraction of negatives at or above the threshold.
-    Counts are exact integers so the ROC points are reproducible bit for
-    bit; the trapezoid is accumulated sequentially for the same reason.
-    """
-    nfix = fix_vals.size
-    nneg = neg_vals.size
-    fix_sorted = np.sort(fix_vals)
-    neg_sorted = np.sort(neg_vals)
-    thresholds = fix_sorted[::-1]
-    tp = [0.0]
-    fp = [0.0]
-    for t in thresholds:
-        n_tp = nfix - int(np.searchsorted(fix_sorted, t, side="left"))
-        n_fp = nneg - int(np.searchsorted(neg_sorted, t, side="left"))
-        tp.append(n_tp / nfix)
-        fp.append(n_fp / nneg)
-    tp.append(1.0)
-    fp.append(1.0)
-    area = 0.0
-    for i in range(1, len(tp)):
-        area += (fp[i] - fp[i - 1]) * (tp[i] + tp[i - 1]) / 2.0
-    return area
-
-
-def _auc_inputs(s, f: FixationMap):
-    sv = _grid(s)
-    mask = _fixation_mask(f, sv.shape)
-    nfix = int(mask.sum())
-    if nfix == 0:
-        raise InputError("AUC requires at least one fixation")
-    if nfix == mask.size:
-        raise InputError("AUC requires at least one non-fixated pixel")
-    return sv[mask], sv[~mask]
+    fpos = _fixated(f, sv.shape)
+    d, ss = _centered(sv)
+    return _nss(d.ravel()[fpos], ss, sv.size)
 
 
 def auc_judd(s, f: FixationMap) -> float:
     """AUC with every non-fixated pixel serving as a negative."""
-    fix_vals, nonfix_vals = _auc_inputs(s, f)
-    return _roc_area(fix_vals, nonfix_vals)
+    sv = _grid(s)
+    return _auc_judd(sv.ravel(), _fixated(f, sv.shape))
 
 
 def auc_borji(s, f: FixationMap, negatives_per_fixation: int = 1,
@@ -160,22 +217,13 @@ def auc_borji(s, f: FixationMap, negatives_per_fixation: int = 1,
     """AUC against random negatives, averaged over seeded resampling splits.
 
     Each split draws ``len(f) * negatives_per_fixation`` negative locations
-    uniformly (with replacement) from the non-fixated pixels, using a
-    generator owned by this call. Identical inputs and seed give a
-    bit-identical result.
+    uniformly (with replacement) from the non-fixated pixels in row-major
+    order, using a generator owned by this call. Identical inputs and seed
+    give a bit-identical result.
     """
-    if negatives_per_fixation < 1:
-        raise InputError("negatives_per_fixation must be >= 1")
-    if splits < 1:
-        raise InputError("splits must be >= 1")
-    fix_vals, nonfix_vals = _auc_inputs(s, f)
-    n_neg = fix_vals.size * negatives_per_fixation
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(splits):
-        idx = rng.integers(0, nonfix_vals.size, size=n_neg)
-        total += _roc_area(fix_vals, nonfix_vals[idx])
-    return total / splits
+    sv = _grid(s)
+    return _auc_borji(sv.ravel(), _fixated(f, sv.shape), negatives_per_fixation,
+                      splits, seed)
 
 
 def kld(p, q, epsilon: float = KLD_EPSILON) -> float:
@@ -184,11 +232,59 @@ def kld(p, q, epsilon: float = KLD_EPSILON) -> float:
     Both maps are normalized to unit sum; epsilon regularizes P inside the
     logarithm so empty predicted regions stay finite. 0 * log(0/.) is 0.
     """
-    pv, qv = _paired(p, q)
-    ps, qs = float(pv.sum()), float(qv.sum())
-    if ps <= 0 or qs <= 0:
-        raise InputError("kld requires maps with positive total mass")
-    pn = pv / ps
-    qn = qv / qs
-    support = qn > 0
-    return float((qn[support] * (np.log(qn[support]) - np.log(pn[support] + epsilon))).sum())
+    return _kld(*_normalized(*_paired(p, q), "kld"), epsilon)
+
+
+def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
+                negatives_per_fixation: int = 1, splits: int = 100, *,
+                seed: int) -> dict:
+    """Every metric in ``metric_set`` for one frame: {name: value or error}.
+
+    ``gt`` is the blurred ground truth (for CC, SIM and KLD) and ``fmap``
+    the binary one (for NSS and both AUCs); AUC-Borji draws from
+    ``default_rng(seed)``. A metric that is undefined on this frame maps
+    to the CinegazeError its public function would raise; values equal
+    the public functions' bit for bit. Work shared between metrics is
+    done once: the prediction's deviations from its mean (CC, NSS), the
+    unit-sum maps (SIM, KLD) and the fixated pixels' positions (NSS and
+    both AUCs). Maps of different dimensions raise InputError.
+    """
+    wanted = {Metric(m).value for m in metric_set}
+    p, q = _paired(pred, gt)
+    fpos = _fixated(fmap, p.shape)
+    scores = {}
+
+    def score(name, fn, *args):
+        try:
+            scores[name] = fn(*args)
+        except CinegazeError as exc:
+            scores[name] = exc
+
+    # each full-grid temporary is dropped as soon as the metrics that
+    # share it are scored, which keeps the peak memory of a frame low
+    if wanted & {"CC", "NSS"}:
+        dp, ssp = _centered(p)
+        if "NSS" in wanted:
+            score("NSS", _nss, dp.ravel()[fpos], ssp, p.size)
+        if "CC" in wanted:
+            score("CC", lambda: _cc(dp, ssp, *_centered(q)))
+        del dp
+    unit = [m for m in ("SIM", "KLD") if m in wanted]
+    if unit:
+        try:
+            pn, qn = _normalized(p, q, unit[0].lower())
+        except InputError:
+            for name in unit:  # the same check, raised with each one's message
+                score(name, _normalized, p, q, name.lower())
+        else:
+            if "SIM" in wanted:
+                score("SIM", _sim, pn, qn)
+            if "KLD" in wanted:
+                score("KLD", _kld, pn, qn, KLD_EPSILON)
+            del pn, qn
+    flat = p.ravel()
+    if "AUC_J" in wanted:
+        score("AUC_J", _auc_judd, flat, fpos)
+    if "AUC_B" in wanted:
+        score("AUC_B", _auc_borji, flat, fpos, negatives_per_fixation, splits, seed)
+    return scores

@@ -40,10 +40,10 @@ def make_kernel(sigma_px: float, truncation: float = 3.0) -> GaussianKernel:
     The grid is renormalized to unit sum, so blurring a single interior
     fixation deposits exactly one unit of mass.
     """
-    if sigma_px <= 0:
-        raise InputError(f"sigma_px must be positive, got {sigma_px}")
-    if truncation <= 0:
-        raise InputError(f"truncation must be positive, got {truncation}")
+    if not (math.isfinite(sigma_px) and sigma_px > 0):
+        raise InputError(f"sigma_px must be positive and finite, got {sigma_px}")
+    if not (math.isfinite(truncation) and truncation > 0):
+        raise InputError(f"truncation must be positive and finite, got {truncation}")
     radius = int(math.ceil(truncation * sigma_px))
     d = np.arange(-radius, radius + 1, dtype=float)
     g = np.exp(-(d * d) / (2.0 * sigma_px * sigma_px))
@@ -170,9 +170,23 @@ def resize_bilinear(values: np.ndarray, out_width: int, out_height: int) -> np.n
     y1 = np.minimum(y0 + 1, h - 1)
     fx = sx - x0
     fy = sy - y0
-    top = v[y0][:, x0] * (1 - fx)[None, :] + v[y0][:, x1] * fx[None, :]
-    bot = v[y1][:, x0] * (1 - fx)[None, :] + v[y1][:, x1] * fx[None, :]
-    return top * (1 - fy)[:, None] + bot * fy[:, None]
+    # blend each input row that some output row needs across x once, then
+    # blend pairs of those rows across y: the products and sums of the
+    # four-corner formula, so the values are the same bit for bit, and the
+    # result is C-ordered
+    need, pick = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    cols = v[need[:, None], x0]
+    cols *= 1 - fx
+    right = v[need[:, None], x1]
+    right *= fx
+    cols += right
+    del right
+    out = cols[pick[:out_height]]
+    out *= (1 - fy)[:, None]
+    bottom = cols[pick[out_height:]]
+    bottom *= fy[:, None]
+    out += bottom
+    return out
 
 
 def to_reference_grid(smap: SaliencyMap, width: int = 640, height: int = 400) -> SaliencyMap:

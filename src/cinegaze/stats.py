@@ -10,6 +10,7 @@ identities used:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -57,13 +58,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple:
 
     Correlations within 1e-12 of +-1 are reported as exactly +-1 (float
     arithmetic cannot distinguish them from exactly collinear input);
-    their p-value is 0.
+    their p-value is 0. Non-finite values are an InputError.
     """
     if len(x) != len(y):
         raise InputError("pearson requires series of equal length")
     n = len(x)
     if n < 3:
         raise InputError(f"pearson requires at least 3 pairs, got {n}")
+    if not all(math.isfinite(v) for v in itertools.chain(x, y)):
+        raise InputError("pearson requires finite values")
     mx = sum(x) / n
     my = sum(y) / n
     dx = [v - mx for v in x]

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import itertools
 import json
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import FormatError
 
@@ -46,12 +46,15 @@ def write_table(path, columns: Iterable[str], rows: Iterable,
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def read_table(path, columns: Mapping, *, subset: bool = False) -> tuple:
+def read_table(path, columns: Mapping, *, subset: bool = False,
+               check: Optional[Callable[[dict, list], None]] = None) -> tuple:
     """(meta, rows) of a table; each row lists its converted cells.
 
     ``columns`` maps each column name to its cell converter. The column
     row must equal its keys, or with ``subset`` contain them all (other
     columns are skipped). ``#`` lines are metadata only before it.
+    ``check(meta, row)`` sees each converted row; a ValueError it raises
+    rejects the row like a bad cell, naming its line.
     """
     meta = {}
     with open(path, newline="") as f:
@@ -79,7 +82,10 @@ def read_table(path, columns: Mapping, *, subset: bool = False) -> tuple:
                     continue
                 if len(cells) != len(header):
                     raise ValueError(f"{len(cells)} cells, expected {len(header)}")
-                rows.append([convert(cells[i]) for i, convert in picks])
+                row = [convert(cells[i]) for i, convert in picks]
+                if check is not None:
+                    check(meta, row)
+                rows.append(row)
         except (ValueError, csv.Error) as exc:
             raise FormatError(f"{path}:{line_no + reader.line_num - 1}: "
                               f"malformed row ({exc})") from None

@@ -40,6 +40,30 @@ def direct_convolve2d(grid, kernel2d):
     return out
 
 
+# ---------------------------------------------------------------- resize
+
+def resize_bilinear_oracle(values, out_width, out_height):
+    """Bilinear resampling, corners aligned, by the four-corner formula:
+    each output pixel blends its four input neighbours, top pair and
+    bottom pair across x, then the two across y."""
+    v = np.asarray(values, dtype=float)
+    _check_side(v, MAX_CONV_SIDE)
+    h, w = v.shape
+    sx = (np.array([(w - 1) / 2.0]) if out_width == 1
+          else np.arange(out_width) * ((w - 1) / (out_width - 1)))
+    sy = (np.array([(h - 1) / 2.0]) if out_height == 1
+          else np.arange(out_height) * ((h - 1) / (out_height - 1)))
+    x0 = np.clip(np.floor(sx).astype(int), 0, w - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y0 = np.clip(np.floor(sy).astype(int), 0, h - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = sx - x0
+    fy = sy - y0
+    top = v[y0][:, x0] * (1 - fx)[None, :] + v[y0][:, x1] * fx[None, :]
+    bot = v[y1][:, x0] * (1 - fx)[None, :] + v[y1][:, x1] * fx[None, :]
+    return top * (1 - fy)[:, None] + bot * fy[:, None]
+
+
 # ---------------------------------------------------------------- metrics
 
 def cc_oracle(p, q):

@@ -245,6 +245,30 @@ def _bad_input_argv(name, d: Path) -> list:
     if name == "window_longer_than_clip":
         return ["ioc", "--fixations", fix, "--meta", meta, "--window", str(FRAMES + 1),
                 "--out", str(d / "s.csv")]
+    if name in ("sigma_nan", "truncation_inf"):
+        flag = {"sigma_nan": ["--sigma-px", "nan"], "truncation_inf": ["--truncation", "inf"]}
+        return ["bench", "--fixations", fix, "--predictions", str(d),
+                "--out", str(d / "s.csv")] + flag[name]
+    if name == "frame_out_of_range":
+        bad = d / "bad_fixations.csv"
+        bad.write_text(Path(fix).read_text() + f"obs00,-1,10.0,10.0\nobs00,{FRAMES},10.0,10.0\n")
+        preds = d / "preds"
+        preds.mkdir()
+        for f in range(FRAMES):  # every frame scorable, so only the range can fail
+            write_float_grid(preds / f"{f:06d}.f32", center_prior(W, H).values)
+        return ["bench", "--fixations", str(bad), "--predictions", str(preds),
+                "--out", str(d / "s.csv")]
+    if name == "pairs_nan_cell":
+        (d / "pairs.csv").write_text("a,b\n1,2\nnan,3\n3,5\n4,4\n")
+        return ["stats", "--pairs", str(d / "pairs.csv"), "--x-col", "a",
+                "--y-col", "b", "--out", str(d / "o.json")]
+    if name == "scores_nan_value":
+        (d / "scores.csv").write_text(
+            "clip_id,frame_index,metric,value,motions,angle,size\n"
+            "c,0,NSS,1.0,Static,Eye,CU\nc,1,NSS,nan,Static,Eye,CU\n"
+            "c,2,NSS,2.0,Pan,Eye,LS\nc,3,NSS,3.0,Pan,Eye,LS\n")
+        return ["stats", "--scores", str(d / "scores.csv"), "--metric", "NSS",
+                "--partition", "Size", "--out", str(d / "o.json")]
     if name == "config_value_not_a_number":
         (d / "config.json").write_text(json.dumps({"window": "abc"}))
         return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
@@ -255,14 +279,18 @@ def _bad_input_argv(name, d: Path) -> list:
 @pytest.mark.parametrize("name", [
     "pairs_missing_column", "colmap_unknown_key", "meta_without_clip_id",
     "frames_not_a_range", "frames_file_is_a_list", "unknown_metric",
-    "config_value_not_a_number", "window_longer_than_clip"])
+    "config_value_not_a_number", "window_longer_than_clip", "sigma_nan",
+    "truncation_inf", "frame_out_of_range", "pairs_nan_cell", "scores_nan_value"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
                  str(tmp_path / "meta.json"), "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    rc = main(_bad_input_argv(name, tmp_path))
+    argv = _bad_input_argv(name, tmp_path)
+    rc = main(argv)
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "s.csv").exists()
+    if "--out" in argv:
+        assert not Path(argv[argv.index("--out") + 1]).exists()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cinegaze.core import FixationMap
-from cinegaze.errors import InputError, UndefinedValueError
+from cinegaze.errors import CinegazeError, InputError, UndefinedValueError
+from cinegaze.ingest import build_fixation_map
 from cinegaze.metrics import (KLD_EPSILON, auc_borji, auc_judd, cc, kld, nss,
-                              sim)
+                              score_frame, sim)
 from cinegaze.saliency import blur_fixations, make_kernel
 
 from conftest import random_metric_instance
@@ -228,3 +229,89 @@ class TestOracleEquivalence:
                 mine = auc_borji(s, fmap, splits=4, seed=101)
                 ref = auc_borji_oracle(s, fix_pixels, 1, 4, 101)
                 assert mine == ref  # same seed: bit-identical
+
+
+ALL_METRICS = ("CC", "SIM", "AUC_J", "AUC_B", "NSS", "KLD")
+
+
+def public_scores(p, q, fmap, negatives_per_fixation, splits, seed):
+    """The six public functions, each value or the error it raised."""
+    calls = {"CC": lambda: cc(p, q), "SIM": lambda: sim(p, q),
+             "AUC_J": lambda: auc_judd(p, fmap),
+             "AUC_B": lambda: auc_borji(p, fmap, negatives_per_fixation, splits, seed=seed),
+             "NSS": lambda: nss(p, fmap), "KLD": lambda: kld(p, q)}
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except CinegazeError as exc:
+            out[name] = exc
+    return out
+
+
+class TestScoreFrame:
+    """score_frame against the six public functions, bit for bit."""
+
+    def check(self, p, q, fmap, negatives_per_fixation=1, splits=7, seed=3):
+        got = score_frame(p, q, fmap, ALL_METRICS, negatives_per_fixation, splits, seed=seed)
+        want = public_scores(p, q, fmap, negatives_per_fixation, splits, seed)
+        assert set(got) == set(want)
+        for name, value in want.items():
+            if isinstance(value, CinegazeError):
+                assert type(got[name]) is type(value), name
+                assert str(got[name]) == str(value), name
+            else:
+                assert got[name] == value, name
+        return got
+
+    def test_random_instances(self, rng):
+        for style in (0, 1, 2) * 5:
+            s, q, fix_pixels = random_metric_instance(rng, side=12, style=style)
+            got = self.check(s, q, fixation_map(fix_pixels, 12, 12), seed=int(rng.integers(100)))
+            # same arithmetic as the brute-force ROC: equal, not just close
+            assert got["AUC_J"] == auc_judd_oracle(s, fix_pixels)
+
+    def test_first_and_last_pixel_and_duplicates(self, rng):
+        s, q = rng.random((9, 11)), rng.random((9, 11))
+        points = [(0.0, 0.0), (10.0, 8.0), (4.2, 3.9), (3.8, 4.1), (4.0, 4.0)]
+        fmap = build_fixation_map(points, 11, 9)
+        assert len(fmap) == 3
+        self.check(s, q, fmap)
+        self.check(s, q, fmap, negatives_per_fixation=3)
+
+    def test_lowest_fixated_value_is_the_global_minimum(self, rng):
+        s, q = rng.random((10, 10)), rng.random((10, 10))
+        y, x = np.unravel_index(int(np.argmin(s)), s.shape)
+        got = self.check(s, q, fixation_map([(int(x), int(y)), (2, 7)], 10, 10))
+        assert got["AUC_J"] == auc_judd_oracle(s, [(int(x), int(y)), (2, 7)])
+
+    def test_error_cases(self, rng):
+        q = rng.random((6, 6))
+        some = fixation_map([(1, 2), (4, 4)], 6, 6)
+        everywhere = fixation_map([(x, y) for x in range(6) for y in range(6)], 6, 6)
+        cases = [
+            (np.ones((6, 6)), np.full((6, 6), 2.0), some),  # both maps constant
+            (np.ones((6, 6)), q, some),                      # constant prediction
+            (rng.random((6, 6)), q, fixation_map([], 6, 6)),  # no fixation
+            (rng.random((6, 6)), q, everywhere),             # every pixel fixated
+            (np.zeros((6, 6)), q, some),                     # zero prediction mass
+            (rng.random((6, 6)), np.zeros((6, 6)), some),    # zero ground-truth mass
+        ]
+        for p, gt, fmap in cases:
+            got = self.check(p, gt, fmap)
+            assert any(isinstance(v, CinegazeError) for v in got.values())
+        got = self.check(rng.random((6, 6)), q, some, negatives_per_fixation=0)
+        assert isinstance(got["AUC_B"], InputError)
+
+    def test_only_requested_metrics(self, rng):
+        s, q = rng.random((8, 8)), rng.random((8, 8))
+        got = score_frame(s, q, fixation_map([(1, 1)], 8, 8), ("KLD", "AUC_J"), seed=0)
+        assert set(got) == {"KLD", "AUC_J"}
+
+    def test_dimension_mismatch_raises(self, rng):
+        with pytest.raises(InputError):
+            score_frame(rng.random((8, 8)), rng.random((8, 9)),
+                        fixation_map([(1, 1)], 8, 8), ALL_METRICS, seed=0)
+        with pytest.raises(InputError):
+            score_frame(rng.random((8, 8)), rng.random((8, 8)),
+                        fixation_map([(1, 1)], 9, 8), ALL_METRICS, seed=0)

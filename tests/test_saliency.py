@@ -8,7 +8,7 @@ from cinegaze.errors import InputError
 from cinegaze.saliency import (average_map, blur_fixations, center_prior,
                                make_kernel, resize_bilinear, to_reference_grid)
 
-from oracles import direct_convolve2d
+from oracles import direct_convolve2d, resize_bilinear_oracle
 
 
 def fmap(points, w=64, h=64):
@@ -39,6 +39,12 @@ class TestKernel:
             make_kernel(0.0)
         with pytest.raises(InputError):
             make_kernel(-1.0)
+
+    @pytest.mark.parametrize("sigma,truncation", [
+        (math.nan, 3.0), (math.inf, 3.0), (2.0, math.nan), (2.0, math.inf)])
+    def test_rejects_non_finite_settings(self, sigma, truncation):
+        with pytest.raises(InputError):
+            make_kernel(sigma, truncation)
 
 
 class TestBlur:
@@ -186,6 +192,23 @@ class TestResize:
         ramp = np.tile(np.linspace(0.0, 1.0, 9), (4, 1))
         out = resize_bilinear(ramp, 17, 4)
         assert np.allclose(out, np.tile(np.linspace(0.0, 1.0, 17), (4, 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("shape,out", [
+        ((7, 9), (25, 19)),   # up in both axes
+        ((40, 50), (13, 9)),  # down in both axes
+        ((6, 40), (17, 11)),  # up in y, down in x
+        ((30, 5), (3, 16)),   # down in y, up in x
+        ((9, 7), (1, 5)),     # output width 1
+        ((9, 7), (6, 1)),     # output height 1
+        ((1, 8), (5, 3)),     # input height 1
+        ((8, 1), (3, 5)),     # input width 1
+        ((5, 5), (1, 1)),
+    ])
+    def test_equals_four_corner_formula(self, rng, shape, out):
+        g = rng.random(shape)
+        got = resize_bilinear(g, *out)
+        assert np.array_equal(got, resize_bilinear_oracle(g, *out))
+        assert got.shape == (out[1], out[0]) and got.flags.c_contiguous
 
     def test_reference_grid_shape(self, rng):
         out = to_reference_grid(SaliencyMap(rng.random((300, 720))), 640, 400)
