@@ -34,8 +34,7 @@ from .ingest import (ColumnMap, IngestReport, clean_and_bin, filter_observers,
 from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
                   sequence_ioc_summary, write_ioc_series)
 from .metrics import Metric
-from .saliency import (average_map, blur_fixations, center_prior, make_kernel,
-                       to_reference_grid)
+from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
 from .tables import read_table, write_table
 
@@ -153,34 +152,36 @@ def cmd_saliency(args):
         skip = _resolve(args, config, "skip_first")
         ref_w = _resolve(args, config, "ref_width")
         ref_h = _resolve(args, config, "ref_height")
+        if skip < 0:
+            raise InputError(f"skip_first must be >= 0, got {skip}")
         frame_filter = _load_frames_file(args.frames_file) if args.frames_file else None
 
-        def reference_maps(cleaned):
+        def selected_maps(cleaned):
             """The clip's wanted non-empty frames from ``skip`` on, streamed."""
             wanted = frame_filter.get(cleaned.clip_id) if frame_filter else None
-            for f in range(skip, cleaned.frame_count):
-                if (wanted is None or f in wanted) and cleaned.frame_points(f):
-                    fmap = fixation_map_for_frame(cleaned, f)
-                    # unnamed, the full-resolution blur is freed before the yield
-                    yield to_reference_grid(blur_fixations(fmap, kernel), ref_w, ref_h)
+            return (fixation_map_for_frame(cleaned, f)
+                    for f in range(skip, cleaned.frame_count)
+                    if (wanted is None or f in wanted) and cleaned.frame_points(f))
 
-        average = average_map((reference_maps(read_fixations(path))
-                               for path in args.fixations), skip_first=0)
+        average = average_map((selected_maps(read_fixations(path))
+                               for path in args.fixations), kernel, ref_w, ref_h)
         write_map(args.average, average.values)
         print(f"average map -> {args.average}")
         return 0
 
     if not args.out_dir:
         raise InputError("per-frame saliency needs --out-dir")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = args.format
     lo, hi = 0, sys.maxsize  # every frame unless --frames narrows the range
     if args.frames:
         try:
             lo, hi = (int(v) for v in args.frames.split(":"))
         except ValueError:
             raise InputError(f"--frames expects lo:hi, got {args.frames!r}") from None
+        if lo >= hi:
+            raise InputError(f"--frames {args.frames}: the range lo:hi is empty")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    suffix = args.format
     written = 0
     for path in args.fixations:
         cleaned = read_fixations(path)

@@ -298,18 +298,27 @@ def write_fixations(cleaned: CleanedFixations, path) -> None:
                       "width": cleaned.width, "height": cleaned.height})
 
 
-def _on_clip_frame(meta: dict, row: list) -> None:
-    frame_count = meta.get("frame_count", "")
-    # a missing or bad header line is reported once the rows are read
-    if frame_count.isdigit() and not 0 <= row[1] < int(frame_count):
-        raise ValueError(f"frame {row[1]} outside [0, {frame_count})")
+def _on_clip_frame(meta: dict):
+    """Row check for ``read_table``: a point lies on a frame of the clip,
+    inside its width x height grid."""
+    bounds = [meta.get(key, "") for key in ("frame_count", "width", "height")]
+    if not all(v.isdigit() for v in bounds):
+        return None  # a missing or bad header line is reported once the rows are read
+    frame_count, width, height = map(int, bounds)
+
+    def check(row: list) -> None:
+        if not 0 <= row[1] < frame_count:
+            raise ValueError(f"frame {row[1]} outside [0, {frame_count})")
+        if not (0 <= row[2] < width and 0 <= row[3] < height):
+            raise ValueError(f"point ({row[2]}, {row[3]}) outside {width}x{height} frame")
+    return check
 
 
 def read_fixations(path) -> CleanedFixations:
     """Inverse of write_fixations.
 
-    A point on a frame outside [0, frame_count) is a FormatError that
-    names its line.
+    A point on a frame outside [0, frame_count), or outside the
+    width x height frame, is a FormatError that names its line.
     """
     meta, rows = read_table(path, FIXATION_COLUMNS, check=_on_clip_frame)
     by_observer: dict = {}

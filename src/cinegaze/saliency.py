@@ -8,7 +8,6 @@ renormalization is applied, so edge fixations genuinely weigh less.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -75,56 +74,82 @@ def stamp_kernel(grid: np.ndarray, weights: np.ndarray, x: int, y: int,
         grid[gy0:gy1, gx0:gx1] += amount * patch
 
 
+def _blur_points(xs, ys, amounts, width: int, height: int,
+                 kernel: GaussianKernel) -> np.ndarray:
+    """Zero-padded blur of ``amounts[i]`` fixations at each distinct pixel
+    (``xs[i]``, ``ys[i]``) on a ``height`` x ``width`` grid.
+
+    Few pixels are rendered by stamping translated kernels, in the order
+    given; many fall back to two separable 1-D passes over a grid of the
+    amounts. Both routes are the same linear operator (pinned by tests).
+    """
+    k = kernel.size
+    # cost of stamping vs. two full-grid separable passes
+    if len(xs) * k * k < 2 * width * height * k:
+        out = np.zeros((height, width))
+        for x, y, amount in zip(xs, ys, amounts):
+            stamp_kernel(out, kernel.weights, x, y, amount)
+        return out
+    grid = np.zeros((height, width))
+    grid[ys, xs] = amounts
+    tmp = correlate1d(grid, kernel.weights_1d, axis=0, mode="constant", cval=0.0)
+    out = correlate1d(tmp, kernel.weights_1d, axis=1, mode="constant", cval=0.0)
+    np.maximum(out, 0.0, out=out)  # clip correlate's -1e-17 dust
+    return out
+
+
 def blur_fixations(fmap: FixationMap, kernel: GaussianKernel) -> SaliencyMap:
     """Linear convolution of a binary fixation map with the Gaussian kernel.
 
-    Output dimensions equal the input's. Sparse maps are rendered by
-    stamping translated kernels; dense maps fall back to two separable 1-D
-    passes. Both routes are the same linear operator (pinned by tests).
+    Output dimensions equal the input's.
     """
-    h, w = fmap.height, fmap.width
-    npts = len(fmap.points)
-    if npts == 0:
-        return SaliencyMap(np.zeros((h, w)))
-    k = kernel.size
-    # cost of stamping vs. two full-grid separable passes
-    if npts * k * k < 2 * w * h * k:
-        out = np.zeros((h, w))
-        for (x, y) in sorted(fmap.points):
-            stamp_kernel(out, kernel.weights, x, y)
-    else:
-        grid = fmap.to_array()
-        tmp = correlate1d(grid, kernel.weights_1d, axis=0, mode="constant", cval=0.0)
-        out = correlate1d(tmp, kernel.weights_1d, axis=1, mode="constant", cval=0.0)
-        np.maximum(out, 0.0, out=out)  # clip correlate's -1e-17 dust
-    return SaliencyMap(out)
+    points = sorted(fmap.points)
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    return SaliencyMap(_blur_points(xs, ys, [1.0] * len(points),
+                                    fmap.width, fmap.height, kernel))
 
 
-def average_map(clips: Iterable[Iterable[SaliencyMap]], skip_first: int = 10) -> SaliencyMap:
-    """Pixelwise mean over all frames of all clips, skipping each clip's
-    first ``skip_first`` frames (viewers start at screen center before the
-    stimulus registers).
+def average_map(clips: Iterable[Iterable[FixationMap]], kernel: GaussianKernel,
+                width: int = 640, height: int = 400) -> SaliencyMap:
+    """Mean over all maps of all clips of each map's blur, resampled onto
+    the ``width`` x ``height`` reference grid (``to_reference_grid``).
 
-    All maps must share one grid; resample beforehand when clips have
-    different aspect ratios (see ``resize_bilinear``). Clips may be
-    generators: maps are summed as they arrive, never held together.
+    Blur and bilinear resampling are linear, so each clip is blurred and
+    resampled once, as the per-pixel count of its maps' fixations; the
+    sum over clips is divided by the number of maps. Every map counts,
+    an empty one too. The maps of one clip share a grid; clips may differ.
+    Clips may be generators: only a clip's fixation keys are held.
     """
-    if skip_first < 0:
-        raise InputError(f"skip_first must be >= 0, got {skip_first}")
-    acc = None
+    if width <= 0 or height <= 0:
+        raise InputError("output dimensions must be positive")
+    acc = np.zeros((height, width))
     count = 0
     for maps in clips:
-        for m in itertools.islice(maps, skip_first, None):
-            if acc is None:
-                acc = np.zeros_like(m.values)
-            elif m.values.shape != acc.shape:
-                raise InputError(
-                    f"map dimensions differ: {m.values.shape} vs {acc.shape}")
-            acc += m.values
+        keys = []
+        grid = None
+        for m in maps:
+            if grid is None:
+                grid = (m.width, m.height)
+            elif (m.width, m.height) != grid:
+                raise InputError(f"map dimensions differ within a clip: "
+                                 f"{m.width}x{m.height} vs {grid[0]}x{grid[1]}")
+            # x-major flat keys: np.unique returns them in sorted (x, y) order
+            keys.extend(x * m.height + y for (x, y) in m.points)
             count += 1
+        if keys:
+            w, h = grid
+            pixels, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
+            xs, ys = np.divmod(pixels, h)
+            # unnamed, the full-resolution blur is freed before the next clip's
+            acc += resize_bilinear(_blur_points(xs.tolist(), ys.tolist(),
+                                                counts.astype(float).tolist(), w, h, kernel),
+                                   width, height)
     if count == 0:
         raise InputError("no frames remain after exclusion")
-    return SaliencyMap(acc / count)
+    acc /= count
+    np.maximum(acc, 0.0, out=acc)  # a blur is non-negative; clears rounding dust
+    return SaliencyMap(acc)
 
 
 def center_prior(width: int, height: int, sigma_fraction: float = 1.0 / 6.0) -> SaliencyMap:

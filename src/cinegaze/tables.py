@@ -47,13 +47,15 @@ def write_table(path, columns: Iterable[str], rows: Iterable,
 
 
 def read_table(path, columns: Mapping, *, subset: bool = False,
-               check: Optional[Callable[[dict, list], None]] = None) -> tuple:
+               check: Optional[Callable[[dict], Optional[Callable[[list], None]]]] = None
+               ) -> tuple:
     """(meta, rows) of a table; each row lists its converted cells.
 
     ``columns`` maps each column name to its cell converter. The column
     row must equal its keys, or with ``subset`` contain them all (other
     columns are skipped). ``#`` lines are metadata only before it.
-    ``check(meta, row)`` sees each converted row; a ValueError it raises
+    ``check(meta)`` is called once, at the column row, and may return a
+    row check: it sees each converted row, and a ValueError it raises
     rejects the row like a bad cell, naming its line.
     """
     meta = {}
@@ -75,6 +77,7 @@ def read_table(path, columns: Mapping, *, subset: bool = False,
         if not matches:
             raise FormatError(f"{path}:{line_no}: expected columns {names}, found {header}")
         picks = [(header.index(name), convert) for name, convert in columns.items()]
+        row_check = check(meta) if check is not None else None
         rows = []
         try:
             for cells in reader:
@@ -83,8 +86,8 @@ def read_table(path, columns: Mapping, *, subset: bool = False,
                 if len(cells) != len(header):
                     raise ValueError(f"{len(cells)} cells, expected {len(header)}")
                 row = [convert(cells[i]) for i, convert in picks]
-                if check is not None:
-                    check(meta, row)
+                if row_check is not None:
+                    row_check(row)
                 rows.append(row)
         except (ValueError, csv.Error) as exc:
             raise FormatError(f"{path}:{line_no + reader.line_num - 1}: "

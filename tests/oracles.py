@@ -3,7 +3,10 @@
 Everything here recomputes results straight from the definitions (explicit
 sums, threshold enumeration, dense grids, numeric integration), shares no
 code with the production implementations, and is size-capped: these exist
-to pin correctness, not to be fast.
+to pin correctness, not to be fast. The one exception is
+``average_map_oracle``: it pins the per-clip average to the per-frame
+route, built from the library's blur and resample, which the oracles
+above pin in turn.
 """
 
 import math
@@ -62,6 +65,18 @@ def resize_bilinear_oracle(values, out_width, out_height):
     top = v[y0][:, x0] * (1 - fx)[None, :] + v[y0][:, x1] * fx[None, :]
     bot = v[y1][:, x0] * (1 - fx)[None, :] + v[y1][:, x1] * fx[None, :]
     return top * (1 - fy)[:, None] + bot * fy[:, None]
+
+
+# ---------------------------------------------------------------- average
+
+def average_map_oracle(clips, kernel, width, height):
+    """The per-frame route of the cross-clip average: every map of every
+    clip blurred at full resolution, resampled onto the ``width`` x
+    ``height`` grid (``to_reference_grid``), then the plain mean."""
+    from cinegaze.saliency import blur_fixations, to_reference_grid
+    grids = [to_reference_grid(blur_fixations(m, kernel), width, height).values
+             for maps in clips for m in maps]
+    return sum(grids) / len(grids)
 
 
 # ---------------------------------------------------------------- metrics

@@ -1,15 +1,19 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cinegaze.cli import main
 from cinegaze.core import ClipMeta, frame_to_display
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import read_map, write_float_grid
-from cinegaze.ingest import read_fixations
+from cinegaze.ingest import (CleanedFixations, fixation_map_for_frame, read_fixations,
+                             write_fixations)
 from cinegaze.ioc import read_ioc_series
-from cinegaze.saliency import center_prior
+from cinegaze.saliency import center_prior, make_kernel
+
+from oracles import average_map_oracle
 
 CLIP = "synthclip"
 W, H, FRAMES = 64, 40, 30
@@ -175,6 +179,16 @@ class TestPipeline:
         labels = {l.split(",")[0] for l in lines[1:]}
         assert labels == {"Static", "Pan", "Dolly", "Track"}
 
+    def test_average_matches_per_frame_route(self, out):
+        cleaned = read_fixations(out / f"{CLIP}_fixations.csv")
+        # the config's skip_first=2; frames without points stay out of the mean
+        maps = [fixation_map_for_frame(cleaned, f) for f in range(2, FRAMES)
+                if cleaned.frame_points(f)]
+        expected = average_map_oracle([maps], make_kernel(2.0), W, H)
+        written = read_map(out / "average.f32")
+        # within 1e-12 of the peak, plus the float32 rounding of the file
+        assert np.allclose(written, expected, rtol=2.0 ** -24, atol=1e-12 * expected.max())
+
     def test_bias_record(self, out):
         doc = json.loads((out / "bias.json").read_text())
         assert -1.0 <= doc["cc_with_prior"] <= 1.0
@@ -199,6 +213,26 @@ def test_two_runs_byte_identical(tmp_path):
     assert files_a == files_b
     for rel in files_a:
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+
+def test_average_selects_frames(tmp_path):
+    """--skip-first, --frames-file and empty frames pick the averaged maps."""
+    paths = []
+    for clip in ("listed", "unlisted"):
+        pts = {f: [(float(3 * f), float(2 * f + 1)), (10.0, 7.0)] for f in (0, 1, 3, 5, 6)}
+        paths.append(tmp_path / f"{clip}.csv")
+        write_fixations(CleanedFixations(clip, 8, 20, 16, {"obs": pts}), paths[-1])
+    (tmp_path / "frames.json").write_text(json.dumps({"listed": [0, 1, 2, 3], "other": [5]}))
+    assert main(["saliency", "--fixations", str(paths[0]), "--fixations", str(paths[1]),
+                 "--average", str(tmp_path / "a.f32"), "--frames-file",
+                 str(tmp_path / "frames.json"), "--skip-first", "1", "--sigma-px", "2",
+                 "--ref-width", "12", "--ref-height", "10"]) == 0
+    listed, unlisted = (read_fixations(p) for p in paths)
+    chosen = [[fixation_map_for_frame(listed, f) for f in (1, 3)],
+              [fixation_map_for_frame(unlisted, f) for f in (1, 3, 5, 6)]]
+    expected = average_map_oracle(chosen, make_kernel(2.0), 12, 10)
+    assert np.allclose(read_map(tmp_path / "a.f32"), expected, rtol=2.0 ** -24,
+                       atol=1e-12 * expected.max())
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -235,6 +269,12 @@ def _bad_input_argv(name, d: Path) -> list:
     if name == "frames_not_a_range":
         return ["saliency", "--fixations", fix, "--out-dir", str(d / "o"),
                 "--frames", "x"]
+    if name == "frames_empty_range":
+        return ["saliency", "--fixations", fix, "--out-dir", str(d / "o"),
+                "--frames", "5:2"]
+    if name == "skip_first_negative":
+        return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
+                "--skip-first", "-5"]
     if name == "frames_file_is_a_list":
         (d / "frames.json").write_text("[1, 2, 3]")
         return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
@@ -258,6 +298,10 @@ def _bad_input_argv(name, d: Path) -> list:
             write_float_grid(preds / f"{f:06d}.f32", center_prior(W, H).values)
         return ["bench", "--fixations", str(bad), "--predictions", str(preds),
                 "--out", str(d / "s.csv")]
+    if name == "coordinate_out_of_frame":
+        bad = d / "bad_fixations.csv"
+        bad.write_text(Path(fix).read_text() + f"obs00,5,{W + 5}.0,10.0\n")
+        return ["ioc", "--fixations", str(bad), "--meta", meta, "--out", str(d / "s.csv")]
     if name == "pairs_nan_cell":
         (d / "pairs.csv").write_text("a,b\n1,2\nnan,3\n3,5\n4,4\n")
         return ["stats", "--pairs", str(d / "pairs.csv"), "--x-col", "a",
@@ -280,7 +324,8 @@ def _bad_input_argv(name, d: Path) -> list:
     "pairs_missing_column", "colmap_unknown_key", "meta_without_clip_id",
     "frames_not_a_range", "frames_file_is_a_list", "unknown_metric",
     "config_value_not_a_number", "window_longer_than_clip", "sigma_nan",
-    "truncation_inf", "frame_out_of_range", "pairs_nan_cell", "scores_nan_value"])
+    "truncation_inf", "frame_out_of_range", "pairs_nan_cell", "scores_nan_value",
+    "skip_first_negative", "frames_empty_range", "coordinate_out_of_frame"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
@@ -292,5 +337,6 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "s.csv").exists()
-    if "--out" in argv:
-        assert not Path(argv[argv.index("--out") + 1]).exists()
+    for flag in ("--out", "--average"):
+        if flag in argv:
+            assert not Path(argv[argv.index(flag) + 1]).exists()

@@ -252,6 +252,17 @@ class TestFixationFiles:
             for f in range(4):
                 assert sorted(back.points(obs, f)) == sorted(cleaned.points(obs, f))
 
+    @pytest.mark.parametrize("x,y", [(100.0, 10.0), (-0.5, 10.0), (10.0, 50.0),
+                                     (float("nan"), 10.0)])
+    def test_point_outside_frame_names_its_line(self, tmp_path, x, y):
+        cleaned = CleanedFixations("clip7", 10, 100, 50,
+                                   {"a": {0: [(1.0, 2.0)], 3: [(x, y)]}})
+        path = tmp_path / "fix.csv"
+        write_fixations(cleaned, path)
+        # four header lines and the column row come first
+        with pytest.raises(FormatError, match=r"fix\.csv:7: .*outside 100x50 frame"):
+            read_fixations(path)
+
     def test_report_file(self, tmp_path):
         report = IngestReport()
         report.add("malformed_row", 3)

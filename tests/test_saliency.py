@@ -5,10 +5,11 @@ import pytest
 
 from cinegaze.core import FixationMap, SaliencyMap
 from cinegaze.errors import InputError
+from cinegaze.ingest import build_fixation_map
 from cinegaze.saliency import (average_map, blur_fixations, center_prior,
                                make_kernel, resize_bilinear, to_reference_grid)
 
-from oracles import direct_convolve2d, resize_bilinear_oracle
+from oracles import average_map_oracle, direct_convolve2d, resize_bilinear_oracle
 
 
 def fmap(points, w=64, h=64):
@@ -108,49 +109,94 @@ class TestBlur:
                            atol=1e-12)
 
 
+def random_maps(rng, frames, w, h, per_frame):
+    """``frames`` fixation maps of ``per_frame`` random pixels each."""
+    return [fmap({(int(rng.integers(w)), int(rng.integers(h))) for _ in range(per_frame)},
+                 w, h) for _ in range(frames)]
+
+
+def assert_matches_oracle(clips, kernel, w, h):
+    got = average_map(clips, kernel, w, h).values
+    expected = average_map_oracle(clips, kernel, w, h)
+    assert got.shape == (h, w)
+    assert np.abs(got - expected).max() <= 1e-12 * expected.max()
+
+
 class TestAverageMap:
-    def test_skip_first_then_single_frame(self):
-        m = SaliencyMap(np.full((4, 4), 7.0))
-        clip = [SaliencyMap(np.full((4, 4), float(i))) for i in range(10)] + [m]
-        out = average_map([clip], skip_first=10)
-        assert np.array_equal(out.values, m.values)
-        # the same frames streamed: the skip applies to generators too
-        out = average_map((iter(c) for c in [clip]), skip_first=10)
-        assert np.array_equal(out.values, m.values)
+    def test_single_map_equals_per_frame_route(self, rng):
+        k = make_kernel(2.0)
+        for m in (fmap([(3, 60), (40, 2)], 64, 64), fmap([(0, 0)], 20, 30),
+                  random_maps(rng, 1, 32, 24, 300)[0]):  # sparse, edge, dense
+            for ref in ((64, 64), (40, 25), (17, 33)):
+                per_frame = to_reference_grid(blur_fixations(m, k), *ref)
+                assert np.array_equal(average_map([[m]], k, *ref).values, per_frame.values)
 
     def test_mean_of_constants(self):
-        clips = [[SaliencyMap(np.full((3, 3), 1.0)), SaliencyMap(np.full((3, 3), 3.0))]]
-        assert np.allclose(average_map(clips, skip_first=0).values, 2.0)
+        # a kernel this narrow blurs the fully fixated map to 1 everywhere;
+        # the empty map counts in the mean like any other
+        everywhere = fmap([(x, y) for x in range(3) for y in range(3)], 3, 3)
+        out = average_map([[everywhere, fmap([], 3, 3)]], make_kernel(0.1), 3, 3)
+        assert np.allclose(out.values, 0.5, rtol=0, atol=1e-12)
 
     def test_three_clips_hand_average(self, rng):
-        grids = [rng.random((4, 4)) for _ in range(6)]
-        clips = [[SaliencyMap(g) for g in grids[:2]],
-                 [SaliencyMap(g) for g in grids[2:5]],
-                 [SaliencyMap(g) for g in grids[5:]]]
-        # plain elementwise sums, written out independently
-        expected = np.zeros((4, 4))
-        for y in range(4):
-            for x in range(4):
-                expected[y, x] = sum(g[y, x] for g in grids) / len(grids)
-        streamed = ((m for m in maps) for maps in clips)
-        for source in (clips, streamed):
-            out = average_map(source, skip_first=0)
-            assert np.abs(out.values - expected).max() < 1e-12
+        k = make_kernel(2.0)
+        clips = [random_maps(rng, 4, 48, 20, 5), random_maps(rng, 7, 40, 30, 3),
+                 random_maps(rng, 2, 30, 40, 9)]
+        assert_matches_oracle(clips, k, 32, 24)
+        streamed = average_map(((m for m in maps) for maps in clips), k, 32, 24)
+        assert np.array_equal(streamed.values, average_map(clips, k, 32, 24).values)
 
     def test_identical_inputs_fixed_point(self, rng):
-        g = SaliencyMap(rng.random((5, 5)))
-        out = average_map([[g, g, g]], skip_first=0)
-        assert np.allclose(out.values, g.values)
+        k = make_kernel(2.0)
+        m = random_maps(rng, 1, 40, 30, 6)[0]
+        out = average_map([[m, m, m]], k, 40, 30).values
+        expected = blur_fixations(m, k).values
+        assert np.abs(out - expected).max() <= 1e-12 * expected.max()
+
+    def test_same_pixel_in_many_frames(self, rng):
+        k = make_kernel(2.0)
+        maps = [fmap({(20, 15)} | m.points, 40, 30) for m in random_maps(rng, 20, 40, 30, 2)]
+        assert_matches_oracle([maps], k, 32, 24)
+
+    def test_duplicate_points_in_a_frame_collapse(self):
+        k = make_kernel(2.0)
+        twice = build_fixation_map([(10.2, 5.1), (9.8, 4.9), (30.0, 20.0)], 40, 30)
+        once = build_fixation_map([(10.0, 5.0), (30.0, 20.0)], 40, 30)
+        other = fmap([(10, 5)], 40, 30)
+        out = average_map([[twice, other]], k, 32, 24).values
+        assert np.array_equal(out, average_map([[once, other]], k, 32, 24).values)
+        assert_matches_oracle([[twice, other]], k, 32, 24)
+
+    def test_points_at_the_edges(self):
+        k = make_kernel(3.0)  # radius 9: every stamp below is clipped
+        corners = [(0, 0), (39, 0), (0, 29), (39, 29), (20, 0), (0, 15), (39, 14), (5, 29)]
+        maps = [fmap(corners[i:i + 3], 40, 30) for i in range(len(corners))]
+        assert_matches_oracle([maps], k, 32, 24)
+        assert_matches_oracle([maps], k, 40, 30)
+
+    def test_dense_clip_takes_separable_route(self, rng):
+        k = make_kernel(2.0)
+        w, h = 32, 24
+        maps = random_maps(rng, 30, w, h, 10)
+        # each frame alone is stamped; the clip's distinct pixels are not
+        assert all(len(m) * k.size < 2 * w * h for m in maps)
+        assert len(set().union(*(m.points for m in maps))) * k.size >= 2 * w * h
+        assert_matches_oracle([maps, random_maps(rng, 3, 20, 20, 2)], k, 28, 20)
 
     def test_all_frames_excluded_is_error(self):
-        clip = [SaliencyMap(np.ones((2, 2)))] * 5
-        with pytest.raises(InputError):
-            average_map([clip], skip_first=10)
+        k = make_kernel(2.0)
+        for clips in ([], [[]], [iter(())]):
+            with pytest.raises(InputError, match="no frames"):
+                average_map(clips, k)
 
     def test_dimension_mismatch_is_error(self):
-        clips = [[SaliencyMap(np.ones((2, 2))), SaliencyMap(np.ones((3, 3)))]]
+        clips = [[fmap([(1, 1)], 10, 10), fmap([(1, 1)], 12, 10)]]
         with pytest.raises(InputError):
-            average_map(clips, skip_first=0)
+            average_map(clips, make_kernel(2.0))
+
+    def test_reference_grid_must_be_positive(self):
+        with pytest.raises(InputError):
+            average_map([[fmap([(1, 1)], 10, 10)]], make_kernel(2.0), 0, 10)
 
 
 class TestCenterPrior:
