@@ -7,16 +7,3 @@ and benchmarking. See the README for the CLI and file formats.
 """
 
 __version__ = "0.1.0"
-
-from .core import (ClipMeta, FixationMap, GazeEvent, GazeSample, Rect,
-                   SaliencyMap, frame_of, letterboxed_area, to_frame_coords)
-from .errors import (CinegazeError, FormatError, InputError,
-                     UndefinedValueError, ValidationError)
-
-__all__ = [
-    "__version__",
-    "ClipMeta", "FixationMap", "GazeEvent", "GazeSample", "Rect", "SaliencyMap",
-    "frame_of", "letterboxed_area", "to_frame_coords",
-    "CinegazeError", "FormatError", "InputError", "UndefinedValueError",
-    "ValidationError",
-]

@@ -108,10 +108,6 @@ class Shot:
                 f"shot [{self.start}, {self.end}): motion_direction only applies "
                 "to Pan or Dolly shots")
 
-    @property
-    def frames(self) -> range:
-        return range(self.start, self.end)
-
 
 @dataclass(frozen=True)
 class FaceBox:
@@ -224,33 +220,6 @@ def parse_annotations(document: str) -> ClipAnnotation:
     )
 
 
-def serialize_annotations(annotation: ClipAnnotation) -> str:
-    """Canonical document form; parse -> serialize -> parse is a fixed point."""
-    shots = []
-    for s in annotation.shots:
-        entry = {
-            "start": s.start,
-            "end": s.end,
-            "motions": sorted(m.value for m in s.motions),
-            "angle": s.angle.value,
-            "size": s.size.value,
-        }
-        if s.motion_direction is not None:
-            entry["motion_direction"] = s.motion_direction.value
-        shots.append(entry)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "clip_id": annotation.clip_id,
-        "frame_count": annotation.frame_count,
-        "frame_width": annotation.frame_width,
-        "frame_height": annotation.frame_height,
-        "shots": shots,
-        "faces": {str(frame): [[b.x, b.y, b.w, b.h] for b in boxes]
-                  for frame, boxes in sorted(annotation.faces.items())},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def cuts_of(annotation: ClipAnnotation) -> list:
     """Start frames of every shot except the first, ascending."""
     return [s.start for s in annotation.shots[1:]]
@@ -294,30 +263,6 @@ def labels(kind: PartitionKind, motions, angle: str, size: str) -> tuple:
     return tuple(label for label in chosen if label)
 
 
-def partition_frames(annotation: ClipAnnotation, kind: PartitionKind) -> dict:
-    """Frame sets per label.
-
-    Motion labels are multi-valued: a frame appears under every motion of
-    its shot. Angle and Size assign each frame to exactly one label.
-    """
-    kind = PartitionKind(kind)
-    out: dict = {}
-    for shot in annotation.shots:
-        for label in labels(kind, [m.value for m in shot.motions],
-                            shot.angle.value, shot.size.value):
-            out.setdefault(label, set()).update(shot.frames)
-    return {label: frozenset(frames) for label, frames in out.items()}
-
-
-def directional_motion_frames(annotation: ClipAnnotation) -> dict:
-    """Frames of Pan/Dolly shots split by motion direction (Left/Right)."""
-    out = {MotionDirection.LEFT.value: set(), MotionDirection.RIGHT.value: set()}
-    for shot in annotation.shots:
-        if shot.motion_direction in (MotionDirection.LEFT, MotionDirection.RIGHT):
-            out[shot.motion_direction.value].update(shot.frames)
-    return {k: frozenset(v) for k, v in out.items()}
-
-
 def shot_at(annotation: ClipAnnotation, frame: int) -> Shot:
     """The shot containing a frame."""
     if not (0 <= frame < annotation.frame_count):
@@ -327,9 +272,3 @@ def shot_at(annotation: ClipAnnotation, frame: int) -> Shot:
             return shot
     raise InputError(f"frame {frame} not covered by any shot")  # unreachable: shots tile
 
-
-def faces_at(annotation: ClipAnnotation, frame: int) -> list:
-    """Face boxes on a frame, possibly empty, in document order."""
-    if not (0 <= frame < annotation.frame_count):
-        raise InputError(f"frame {frame} outside [0, {annotation.frame_count})")
-    return list(annotation.faces.get(frame, ()))

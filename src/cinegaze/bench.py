@@ -10,7 +10,6 @@ AUC-Borji seed, so scores stay comparable across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -26,7 +25,7 @@ from .gridio import read_map
 from .ingest import CleanedFixations, fixation_map_for_frame
 from .metrics import KLD_EPSILON, Metric, cc, score_frame
 from .saliency import GaussianKernel, blur_fixations, resize_bilinear
-from .tables import config_hash, read_table, write_table
+from .tables import config_hash, read_table, write_json, write_table
 
 METRIC_ORDER = [m.value for m in
                 (Metric.CC, Metric.SIM, Metric.AUC_J, Metric.AUC_B, Metric.NSS, Metric.KLD)]
@@ -93,7 +92,6 @@ def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKern
                     *, annotation: Optional[ClipAnnotation] = None,
                     metric_set: Sequence[str] = tuple(METRIC_ORDER),
                     aucb_seed: int = 0, aucb_splits: int = 100,
-                    negatives_per_fixation: int = 1,
                     frames: Optional[Sequence[int]] = None) -> BenchResult:
     """Score per-frame prediction maps against the clip's ground truth.
 
@@ -124,8 +122,8 @@ def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKern
         except (OSError, CinegazeError, ValueError) as exc:
             errors.append((f, f"prediction unusable: {exc}"))
             continue
-        scores = score_frame(pred_map, gt_blur, fmap, metric_set, negatives_per_fixation,
-                             aucb_splits, seed=aucb_seed + f)
+        scores = score_frame(pred_map, gt_blur, fmap, metric_set, aucb_splits,
+                             seed=aucb_seed + f)
         del pred_map, gt_blur  # not kept alive while the next frame's maps are built
         if annotation is not None:
             shot = shot_at(annotation, f)
@@ -258,8 +256,5 @@ def emit_report(data, path, fmt: ReportFormat = ReportFormat.DELIMITED,
     if fmt is ReportFormat.DELIMITED:
         write_table(path, field_names, table, meta=dict(sorted(header.items())))
         return
-    with open(path, "w") as f:
-        json.dump({"meta": header, "columns": field_names,
-                   "rows": [dict(zip(field_names, row)) for row in table]},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, {"meta": header, "columns": field_names,
+                      "rows": [dict(zip(field_names, row)) for row in table]})

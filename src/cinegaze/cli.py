@@ -36,7 +36,7 @@ from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
 from .metrics import Metric
 from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
-from .tables import read_table, write_table
+from .tables import read_table, write_json, write_table
 
 DEFAULTS = {
     "sigma_px": 45.0,
@@ -93,16 +93,6 @@ def _load_frames_file(path) -> dict:
     return {clip: set(frames) for clip, frames in doc.items()}
 
 
-def _write_json(path, doc: dict) -> None:
-    """Strict JSON: a NaN or infinity is an InputError, and no file is written."""
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise InputError(f"{path}: result is not finite ({exc})") from None
-    with open(path, "w") as f:
-        f.write(text + "\n")
-
-
 def _load_meta(path) -> ClipMeta:
     with open(path) as f:
         return ClipMeta.from_dict(json.load(f))
@@ -124,7 +114,7 @@ def cmd_ingest(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     fix_path = out_dir / f"{meta.clip_id}_fixations.csv"
     write_fixations(cleaned, fix_path)
-    report.write(out_dir / f"{meta.clip_id}_ingest_report.json")
+    write_json(out_dir / f"{meta.clip_id}_ingest_report.json", report.to_dict())
     print(f"{meta.clip_id}: {len(kept)} observers kept, {len(rejected)} rejected, "
           f"{cleaned.n_points()} fixation points -> {fix_path}")
     return 0
@@ -212,8 +202,8 @@ def cmd_ioc(args):
     print(f"{series.clip_id}: {len(series.values)} windows -> {args.out}")
     if args.summary:
         s = sequence_ioc_summary(series)
-        _write_json(args.summary, {"clip_id": series.clip_id, "n": series.n, "mean": s.mean,
-                                   "median": s.median, "std": s.std, "count": s.count})
+        write_json(args.summary, {"clip_id": series.clip_id, "n": series.n, "mean": s.mean,
+                                  "median": s.median, "std": s.std, "count": s.count})
         print(f"summary mean={s.mean:.4f} -> {args.summary}")
     if args.cut_drop:
         if not args.annotation:
@@ -295,7 +285,7 @@ def cmd_stats(args):
                "df_between": res.df_between, "df_within": res.df_within,
                "group_sizes": dict(zip(res.group_names, res.group_sizes)),
                "pairwise_welch": pairwise}
-    _write_json(args.out, out)
+    write_json(args.out, out)
     print(f"stats -> {args.out}")
     return 0
 
@@ -307,8 +297,8 @@ def cmd_report(args):
         avg = SaliencyMap(read_map(args.average))
         prior = SaliencyMap(read_map(args.prior))
         record = bias_report(avg, prior)
-        _write_json(args.out, {"cc_with_prior": record.cc_with_prior,
-                               "peak_offset_px": list(record.peak_offset_px)})
+        write_json(args.out, {"cc_with_prior": record.cc_with_prior,
+                              "peak_offset_px": list(record.peak_offset_px)})
     elif args.shot_stats:
         fps = _resolve(args, config, "fps")
         stats_rows = []

@@ -242,12 +242,6 @@ def frame_to_display(fx: float, fy: float, meta: ClipMeta) -> tuple:
             a.y + fy * (a.h / meta.frame_height_px))
 
 
-def to_frame_coords(sample: GazeSample, meta: ClipMeta) -> Optional[tuple]:
-    """Frame-pixel position of a gaze sample, or None for letterboxed or
-    off-screen samples. Outside is a value, not an error."""
-    return display_to_frame(sample.x, sample.y, meta)
-
-
 def round_half_up(v: float) -> int:
     """Nearest-integer rounding with half-up tie breaking."""
     return int(math.floor(v + 0.5))

@@ -50,20 +50,19 @@ def read_float_grid(path) -> np.ndarray:
     return data.reshape(h, w).astype(float)
 
 
-def write_pgm16(path, values, scale: float | None = None) -> None:
+def write_pgm16(path, values) -> None:
     """Write a grid as binary PGM, recording the value scale in a sidecar.
 
-    When ``scale`` is omitted the grid maximum is mapped to the top of the
-    16-bit range (identity scale for an all-zero grid).
+    The grid maximum is mapped to the top of the 16-bit range (identity
+    scale for an all-zero grid).
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
         raise InputError("write_pgm16 expects a 2-D grid")
     if np.any(v < 0) or not np.all(np.isfinite(v)):
         raise InputError("write_pgm16 expects finite non-negative values")
-    if scale is None:
-        vmax = float(v.max())
-        scale = PGM_MAXVAL / vmax if vmax > 0 else 1.0
+    vmax = float(v.max())
+    scale = PGM_MAXVAL / vmax if vmax > 0 else 1.0
     stored = np.round(v * scale)
     if stored.max(initial=0) > PGM_MAXVAL:
         raise InputError("scaled values exceed the 16-bit graymap range")

@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import (ClipMeta, FixationMap, GazeEvent, GazeSample, frame_of,
-                   has_control_chars, rasterize_point, to_frame_coords)
+from .core import (ClipMeta, FixationMap, GazeEvent, GazeSample, display_to_frame,
+                   frame_of, has_control_chars, rasterize_point)
 from .errors import FormatError, InputError
 from .tables import read_table, write_table
 
@@ -37,16 +37,8 @@ class IngestReport:
     def add(self, reason: str, k: int = 1) -> None:
         self.counts[reason] += k
 
-    def total_dropped(self) -> int:
-        return sum(self.counts.values())
-
     def to_dict(self) -> dict:
         return dict(sorted(self.counts.items()))
-
-    def write(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 @dataclass(frozen=True)
@@ -250,7 +242,7 @@ def clean_and_bin(records: Sequence[ObserverRecord], meta: ClipMeta,
             if not sample.valid:
                 report.add("invalid_sample")
                 continue
-            pos = to_frame_coords(sample, meta)
+            pos = display_to_frame(sample.x, sample.y, meta)
             if pos is None:
                 report.add("outside_active_area")
                 continue

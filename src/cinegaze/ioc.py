@@ -1,20 +1,15 @@
-"""Inter-observer congruency estimators.
+"""Inter-observer congruency: leave-one-out NSS over a sliding window.
 
-Two estimators are provided:
+For every window of frames and every observer, ``loo_window_ioc`` blurs
+the remaining observers' window fixations into a saliency map and scores
+the left-out observer's fixations against it with NSS; the window score
+is the mean over observers.
 
-* ``convex_hull_area``: the area spanned by one frame's fixation points,
-  an outlier-sensitive upper bound on congruency;
-* ``loo_window_ioc``: leave-one-out NSS over a sliding window of frames.
-  For every window and observer, the remaining observers' window
-  fixations are blurred into a saliency map and the left-out observer's
-  fixations are scored against it with NSS; the window score is the mean
-  over observers.
-
-The leave-one-out estimator is the expensive one (every observer times
-every window of the dataset). Instead of materializing a blurred map per
-(window, observer), this implementation computes NSS's three ingredients
-in closed form from the window's fixation pixels, exploiting that the
-zero-padded separable Gaussian factorizes:
+The estimator is expensive (every observer times every window of the
+dataset). Instead of materializing a blurred map per (window, observer),
+this implementation computes NSS's three ingredients in closed form from
+the window's fixation pixels, exploiting that the zero-padded separable
+Gaussian factorizes:
 
 * map total mass: per-pixel border-clipped kernel mass, tabulated per axis;
 * map second moment: pairwise kernel correlations, tabulated per axis;
@@ -86,7 +81,6 @@ class IocConfig:
 class IocSeries:
     clip_id: str
     n: int
-    stride: int
     values: list  # of (window_start_frame, score or None)
 
 
@@ -96,39 +90,6 @@ class IocSummary:
     median: float
     std: float
     count: int
-
-
-def convex_hull_area(points: Sequence) -> float:
-    """Area of the 2-D convex hull, 0 for degenerate point sets.
-
-    Duplicates and ordering do not matter.
-    """
-    pts = sorted({(float(x), float(y)) for (x, y) in points})
-    if len(pts) < 3:
-        return 0.0
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        return 0.0
-    area2 = 0.0
-    for i in range(len(hull)):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % len(hull)]
-        area2 += x0 * y1 - x1 * y0
-    return abs(area2) / 2.0
 
 
 def _border_mass(k1: np.ndarray, r: int, length: int) -> np.ndarray:
@@ -318,7 +279,7 @@ def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
             s_at_fix = (float(a_row[a]) - float(a_sums[a, a])) / int(counts[a])
             scores.append((s_at_fix - mu) / math.sqrt(var))
         values.append((t, sum(scores) / len(scores) if scores else None))
-    return IocSeries(fixations.clip_id, n, 1, values)
+    return IocSeries(fixations.clip_id, n, values)
 
 
 def sequence_ioc_summary(series: IocSeries) -> IocSummary:
@@ -353,8 +314,6 @@ def cut_drop_analysis(series: IocSeries, cuts: Sequence[int],
     pre_mean - post_mean. Cuts whose context reaches another cut are
     flagged rather than excluded.
     """
-    if series.stride != 1:
-        raise InputError("cut_drop_analysis requires a stride-1 series")
     if pre_frames < 1 or post_frames < 1:
         raise InputError("pre_frames and post_frames must be >= 1")
     n = series.n
@@ -403,4 +362,4 @@ def read_ioc_series(path) -> IocSeries:
     _, rows = read_table(path, SERIES_COLUMNS)
     if not rows:
         raise FormatError(f"{path}: no series rows found")
-    return IocSeries(rows[0][0], rows[0][2], 1, [(start, score) for _, start, _, score in rows])
+    return IocSeries(rows[0][0], rows[0][2], [(start, score) for _, start, _, score in rows])

@@ -236,8 +236,7 @@ def kld(p, q, epsilon: float = KLD_EPSILON) -> float:
 
 
 def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
-                negatives_per_fixation: int = 1, splits: int = 100, *,
-                seed: int) -> dict:
+                splits: int = 100, *, seed: int) -> dict:
     """Every metric in ``metric_set`` for one frame: {name: value or error}.
 
     ``gt`` is the blurred ground truth (for CC, SIM and KLD) and ``fmap``
@@ -286,5 +285,5 @@ def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
     if "AUC_J" in wanted:
         score("AUC_J", _auc_judd, flat, fpos)
     if "AUC_B" in wanted:
-        score("AUC_B", _auc_borji, flat, fpos, negatives_per_fixation, splits, seed)
+        score("AUC_B", _auc_borji, flat, fpos, 1, splits, seed)
     return scores

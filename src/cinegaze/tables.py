@@ -4,7 +4,8 @@ A table holds ``# key=value`` metadata lines, the column row, then one
 line per record. Cells use the csv module's minimal quoting, so ids may
 hold commas, quotes or a leading ``#``. Floats are written with ``repr``
 and ``None`` as an empty cell. ``config_hash`` is the one digest that
-report and series headers carry for their metadata.
+report and series headers carry for their metadata. ``write_json`` is the
+one writer of JSON outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import json
 from typing import Callable, Iterable, Mapping, Optional
 
-from .errors import FormatError
+from .errors import FormatError, InputError
 
 
 def optional_float(cell: str) -> Optional[float]:
@@ -27,6 +28,16 @@ def config_hash(meta: Mapping) -> str:
     """Short digest of a metadata mapping, independent of key order."""
     canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def write_json(path, doc) -> None:
+    """Strict JSON: a NaN or infinity is an InputError, and no file is written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"{path}: result is not finite ({exc})") from None
+    with open(path, "w") as f:
+        f.write(text + "\n")
 
 
 def _cell(value):

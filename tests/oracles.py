@@ -176,55 +176,6 @@ def kld_oracle(p, q, epsilon):
     return total
 
 
-# ------------------------------------------------------------ convex hull
-
-def hull_area_bruteforce(points):
-    """Hull edges found by the O(n^3) all-points-on-one-side test, then the
-    shoelace formula over the traversed polygon. Assumes points in general
-    position (no 3 collinear); degenerate sets return 0."""
-    pts = sorted({(float(x), float(y)) for (x, y) in points})
-    if len(pts) < 3:
-        return 0.0
-    edges = {}
-    for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            if i == j:
-                continue
-            left = 0
-            right = 0
-            for k, c in enumerate(pts):
-                if k in (i, j):
-                    continue
-                side = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-                if side > 0:
-                    left += 1
-                elif side < 0:
-                    right += 1
-            if left == 0 or right == 0:
-                edges[a] = edges.get(a, [])
-                edges[a].append(b)
-    if not edges:
-        return 0.0
-    # walk the polygon: from each vertex pick the unvisited neighbour
-    start = min(edges)
-    walk = [start]
-    seen = {start}
-    while True:
-        nxt = [v for v in edges[walk[-1]] if v not in seen]
-        if not nxt:
-            break
-        walk.append(nxt[0])
-        seen.add(nxt[0])
-    if len(walk) < 3:
-        return 0.0
-    area2 = 0.0
-    for i in range(len(walk)):
-        x0, y0 = walk[i]
-        x1, y1 = walk[(i + 1) % len(walk)]
-        area2 += x0 * y1 - x1 * y0
-    return abs(area2) / 2.0
-
-
 # ------------------------------------------------- window congruency (IOC)
 
 def sampled_gaussian_2d(sigma, truncation):

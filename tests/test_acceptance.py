@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cinegaze.annotations import (PartitionKind, cuts_of, parse_annotations,
-                                  shot_at, shot_stats)
+from cinegaze.annotations import (PartitionKind, cuts_of, labels,
+                                  parse_annotations, shot_at, shot_stats)
 from cinegaze.bench import benchmark_model, dataset_means
 from cinegaze.core import ClipMeta
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
@@ -225,13 +225,8 @@ def windows_by_label(clips, series, kind):
             shot = shot_at(annotation, start)
             if start + s.n > shot.end:
                 continue
-            if kind is PartitionKind.MOTION:
-                labels = [m.value for m in shot.motions]
-            elif kind is PartitionKind.ANGLE:
-                labels = [shot.angle.value]
-            else:
-                labels = [shot.size.value]
-            for label in labels:
+            for label in labels(kind, [m.value for m in shot.motions],
+                                shot.angle.value, shot.size.value):
                 groups.setdefault(label, []).append(score)
     return groups
 

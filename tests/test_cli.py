@@ -313,6 +313,12 @@ def _bad_input_argv(name, d: Path) -> list:
             "c,2,NSS,2.0,Pan,Eye,LS\nc,3,NSS,3.0,Pan,Eye,LS\n")
         return ["stats", "--scores", str(d / "scores.csv"), "--metric", "NSS",
                 "--partition", "Size", "--out", str(d / "o.json")]
+    if name == "report_json_nan":
+        (d / "scores.csv").write_text(
+            "clip_id,frame_index,metric,value,motions,angle,size\n"
+            "c,0,CC,0.5,Static,Eye,CU\nc,1,CC,nan,Static,Eye,CU\n")
+        return ["report", "--scores", str(d / "scores.csv"), "--format", "json",
+                "--out", str(d / "r.json")]
     if name == "config_value_not_a_number":
         (d / "config.json").write_text(json.dumps({"window": "abc"}))
         return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
@@ -325,7 +331,8 @@ def _bad_input_argv(name, d: Path) -> list:
     "frames_not_a_range", "frames_file_is_a_list", "unknown_metric",
     "config_value_not_a_number", "window_longer_than_clip", "sigma_nan",
     "truncation_inf", "frame_out_of_range", "pairs_nan_cell", "scores_nan_value",
-    "skip_first_negative", "frames_empty_range", "coordinate_out_of_frame"])
+    "skip_first_negative", "frames_empty_range", "coordinate_out_of_frame",
+    "report_json_nan"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",

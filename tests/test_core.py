@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from cinegaze.core import (ClipMeta, FixationMap, GazeSample, Rect, SaliencyMap,
+from cinegaze.core import (ClipMeta, FixationMap, Rect, SaliencyMap,
                            display_to_frame, frame_of, frame_to_display,
-                           letterboxed_area, rasterize_point, round_half_up,
-                           to_frame_coords)
+                           letterboxed_area, rasterize_point, round_half_up)
 from cinegaze.errors import InputError
 
 
@@ -52,16 +51,15 @@ class TestLetterbox:
 class TestDisplayToFrame:
     def test_identity_when_full_screen(self):
         meta = make_meta(1920, 1200)
-        sample = GazeSample("o1", 0.0, 960.0, 600.0)
-        assert to_frame_coords(sample, meta) == (960.0, 600.0)
+        assert display_to_frame(960.0, 600.0, meta) == (960.0, 600.0)
 
     def test_letterbox_rejection(self):
         meta = make_meta(1920, 1050)  # bars at y < 75 and y >= 1125
-        assert to_frame_coords(GazeSample("o1", 0.0, 0.0, 0.0), meta) is None
+        assert display_to_frame(0.0, 0.0, meta) is None
 
     def test_centered_letterbox_offset(self):
         meta = make_meta(1920, 800)  # active y in [200, 1000)
-        assert to_frame_coords(GazeSample("o1", 0.0, 960.0, 600.0), meta) == (960.0, 400.0)
+        assert display_to_frame(960.0, 600.0, meta) == (960.0, 400.0)
 
     def test_boundary_is_outside(self):
         meta = make_meta(1920, 800)

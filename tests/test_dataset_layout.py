@@ -143,10 +143,26 @@ def test_cut_drop_machinery(clips):
 
 
 def test_window_labels_feed_anova(clips):
-    series = acc.ioc_series_for_config(clips, n=10, sigma_px=2.0)
-    groups = acc.windows_by_label(clips, series, kind="Size")
-    assert set(groups) == {"MS", "LS", "XCU"}
-    res = one_way_anova([v for v in groups.values() if len(v) >= 2])
-    assert 0.0 <= res.p <= 1.0
-    t, p = welch_t_test(groups["MS"], groups["XCU"])
+    n = 10
+    series = acc.ioc_series_for_config(clips, n=n, sigma_px=2.0)
+    # the scored windows that no cut splits; each clip has one motion set,
+    # one angle and one size, so a label's group is its clips' windows
+    inside = {meta.clip_id: [score for start, score in series[meta.clip_id].values
+                             if score is not None
+                             and not any(start < c < start + n for c in cuts_of(annotation))]
+              for meta, _, annotation in clips}
+    expected = {
+        "Motion": {"Static": inside["departures_mini"] + inside["the_shining_mini"],
+                   "Pan": inside["armageddon_mini"], "Track": inside["armageddon_mini"]},
+        "Angle": {"Eye": inside["the_shining_mini"], "High": inside["departures_mini"],
+                  "Low": inside["armageddon_mini"]},
+        "Size": {"MS": inside["the_shining_mini"], "LS": inside["departures_mini"],
+                 "XCU": inside["armageddon_mini"]},
+    }
+    for kind, want in expected.items():
+        groups = acc.windows_by_label(clips, series, kind=kind)
+        assert groups == want, kind
+        res = one_way_anova([v for v in groups.values() if len(v) >= 2])
+        assert 0.0 <= res.p <= 1.0
+    t, p = welch_t_test(expected["Size"]["MS"], expected["Size"]["XCU"])
     assert 0.0 <= p <= 1.0

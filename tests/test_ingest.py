@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from cinegaze.core import ClipMeta, GazeEvent, GazeSample, frame_to_display
@@ -7,6 +9,7 @@ from cinegaze.ingest import (CleanedFixations, ColumnMap, IngestReport,
                              filter_observers, fixation_map_for_frame,
                              parse_gaze_samples, read_fixations,
                              write_fixations)
+from cinegaze.tables import write_json
 
 HEADER = "observer_id,clip_id,timestamp_ms,x_px,y_px,validity,event\n"
 
@@ -25,12 +28,12 @@ class TestParsing:
         records, report = parse_gaze_samples(text)
         assert len(records) == 1
         assert len(records[0].samples) == 3
-        assert report.total_dropped() == 0
+        assert report.to_dict() == {}
 
     def test_header_only_is_empty(self):
         records, report = parse_gaze_samples(HEADER)
         assert records == []
-        assert report.total_dropped() == 0
+        assert report.to_dict() == {}
 
     def test_nan_coordinate_dropped_with_warning(self):
         text = HEADER + row(t=0) + row(t=10, x="NaN")
@@ -268,7 +271,6 @@ class TestFixationFiles:
         report.add("malformed_row", 3)
         report.add("outside_active_area")
         path = tmp_path / "report.json"
-        report.write(path)
-        import json
+        write_json(path, report.to_dict())
         assert json.loads(path.read_text()) == {
             "malformed_row": 3, "outside_active_area": 1}

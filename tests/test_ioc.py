@@ -6,14 +6,14 @@ from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.ingest import CleanedFixations, build_fixation_map
 from cinegaze.ioc import (_REANCHOR, SERIES_COLUMNS, IocConfig, IocSeries,
-                          convex_hull_area, cut_drop_analysis, loo_window_ioc,
-                          read_ioc_series, sequence_ioc_summary, write_ioc_series)
+                          cut_drop_analysis, loo_window_ioc, read_ioc_series,
+                          sequence_ioc_summary, write_ioc_series)
 from cinegaze.metrics import nss
 from cinegaze.saliency import blur_fixations, make_kernel
 from cinegaze.tables import read_table
 
 from conftest import scanpath_battery
-from oracles import hull_area_bruteforce, naive_loo_window_ioc
+from oracles import naive_loo_window_ioc
 
 
 def cleaned_from(points_by_obs, frame_count, w, h, clip="clip"):
@@ -22,41 +22,6 @@ def cleaned_from(points_by_obs, frame_count, w, h, clip="clip"):
 
 def meta_for(fix):
     return ClipMeta(fix.clip_id, fix.frame_count, fix.width, fix.height)
-
-
-class TestConvexHull:
-    def test_right_triangle(self):
-        assert convex_hull_area([(0, 0), (10, 0), (0, 10)]) == 50.0
-
-    def test_collinear_points(self):
-        assert convex_hull_area([(0, 0), (5, 5), (10, 10), (2, 2)]) == 0.0
-
-    def test_degenerate_small_sets(self):
-        assert convex_hull_area([]) == 0.0
-        assert convex_hull_area([(1, 1)]) == 0.0
-        assert convex_hull_area([(1, 1), (4, 5)]) == 0.0
-
-    def test_unit_square_with_interior_points(self):
-        pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5), (0.25, 0.75)]
-        assert convex_hull_area(pts) == pytest.approx(1.0)
-
-    def test_permutation_and_duplicates_invariant(self, rng):
-        pts = [(float(x), float(y)) for x, y in rng.uniform(0, 100, (20, 2))]
-        base = convex_hull_area(pts)
-        shuffled = list(pts[::-1]) + pts[:5]
-        assert convex_hull_area(shuffled) == base
-
-    def test_scaling_equivariance(self, rng):
-        pts = [(float(x), float(y)) for x, y in rng.uniform(0, 100, (15, 2))]
-        base = convex_hull_area(pts)
-        scaled = [(3.0 * x, 3.0 * y) for (x, y) in pts]
-        assert convex_hull_area(scaled) == pytest.approx(9.0 * base, rel=1e-12)
-
-    def test_against_bruteforce_oracle(self, rng):
-        for npts in (5, 12, 50):
-            pts = [(float(x), float(y)) for x, y in rng.uniform(0, 100, (npts, 2))]
-            assert convex_hull_area(pts) == pytest.approx(
-                hull_area_bruteforce(pts), rel=1e-9)
 
 
 class TestLooWindowIoc:
@@ -272,30 +237,30 @@ def meta_for_dims(fix):
 
 class TestSummary:
     def test_constant_series(self):
-        series = IocSeries("c", 5, 1, [(t, 3.0) for t in range(4)])
+        series = IocSeries("c", 5, [(t, 3.0) for t in range(4)])
         s = sequence_ioc_summary(series)
         assert (s.mean, s.std, s.count) == (3.0, 0.0, 4)
 
     def test_small_series(self):
-        series = IocSeries("c", 5, 1, [(0, 1.0), (1, 2.0), (2, 3.0)])
+        series = IocSeries("c", 5, [(0, 1.0), (1, 2.0), (2, 3.0)])
         s = sequence_ioc_summary(series)
         assert s.mean == 2.0
         assert s.median == 2.0
 
     def test_absent_scores_excluded(self):
-        series = IocSeries("c", 5, 1, [(0, 1.0), (1, None), (2, 3.0)])
+        series = IocSeries("c", 5, [(0, 1.0), (1, None), (2, 3.0)])
         s = sequence_ioc_summary(series)
         assert s.count == 2
         assert s.mean == 2.0
 
     def test_all_absent_is_error(self):
         with pytest.raises(InputError):
-            sequence_ioc_summary(IocSeries("c", 5, 1, [(0, None)]))
+            sequence_ioc_summary(IocSeries("c", 5, [(0, None)]))
 
 
 class TestCutDrop:
     def test_constant_series_zero_drop(self):
-        series = IocSeries("c", 5, 1, [(t, 4.0) for t in range(40)])
+        series = IocSeries("c", 5, [(t, 4.0) for t in range(40)])
         records = cut_drop_analysis(series, [20], pre_frames=5, post_frames=5)
         assert records[0].drop == 0.0
         assert not records[0].overlaps_context
@@ -311,14 +276,14 @@ class TestCutDrop:
                 values.append((t, 3.0))   # window fully after
             else:
                 values.append((t, 4.2))   # straddling: in neither context
-        series = IocSeries("c", n, 1, values)
+        series = IocSeries("c", n, values)
         record = cut_drop_analysis(series, [cut], pre_frames=5, post_frames=5)[0]
         assert record.pre_mean == 5.0
         assert record.post_mean == 3.0
         assert record.drop == 2.0
 
     def test_close_cuts_are_flagged(self):
-        series = IocSeries("c", 5, 1, [(t, 4.0) for t in range(40)])
+        series = IocSeries("c", 5, [(t, 4.0) for t in range(40)])
         records = cut_drop_analysis(series, [18, 22])
         assert all(r.overlaps_context for r in records)
 
@@ -333,20 +298,14 @@ class TestCutDrop:
             assert r.drop is not None and r.drop > 0
 
     def test_cut_outside_series_rejected(self):
-        series = IocSeries("c", 5, 1, [(t, 4.0) for t in range(10)])
+        series = IocSeries("c", 5, [(t, 4.0) for t in range(10)])
         with pytest.raises(InputError):
             cut_drop_analysis(series, [500])
-
-    def test_stride_must_be_one(self):
-        series = IocSeries("c", 5, 2, [(0, 4.0)])
-        with pytest.raises(InputError):
-            cut_drop_analysis(series, [2])
 
 
 class TestSeriesFiles:
     def test_round_trip_with_absent_scores(self, tmp_path):
-        series = IocSeries("clip9", 20, 1,
-                           [(0, 4.125), (1, None), (2, 3.911236621)])
+        series = IocSeries("clip9", 20, [(0, 4.125), (1, None), (2, 3.911236621)])
         path = tmp_path / "series.csv"
         write_ioc_series(series, path, meta={"sigma_px": 45.0})
         back = read_ioc_series(path)
@@ -355,7 +314,7 @@ class TestSeriesFiles:
         assert back.values == series.values
 
     def test_policy_flags_in_header(self, tmp_path):
-        series = IocSeries("c", 5, 1, [(0, 1.0)])
+        series = IocSeries("c", 5, [(0, 1.0)])
         path = tmp_path / "series.csv"
         write_ioc_series(series, path)
         text = path.read_text()
@@ -375,7 +334,7 @@ class TestSeriesFiles:
         assert hashes[0] != hashes[2]
 
     def test_absent_field_is_empty(self, tmp_path):
-        series = IocSeries("c", 5, 1, [(0, None)])
+        series = IocSeries("c", 5, [(0, None)])
         path = tmp_path / "series.csv"
         write_ioc_series(series, path)
         assert "c,0,5,\n" in path.read_text()

@@ -234,11 +234,11 @@ class TestOracleEquivalence:
 ALL_METRICS = ("CC", "SIM", "AUC_J", "AUC_B", "NSS", "KLD")
 
 
-def public_scores(p, q, fmap, negatives_per_fixation, splits, seed):
+def public_scores(p, q, fmap, splits, seed):
     """The six public functions, each value or the error it raised."""
     calls = {"CC": lambda: cc(p, q), "SIM": lambda: sim(p, q),
              "AUC_J": lambda: auc_judd(p, fmap),
-             "AUC_B": lambda: auc_borji(p, fmap, negatives_per_fixation, splits, seed=seed),
+             "AUC_B": lambda: auc_borji(p, fmap, 1, splits, seed=seed),
              "NSS": lambda: nss(p, fmap), "KLD": lambda: kld(p, q)}
     out = {}
     for name, call in calls.items():
@@ -252,9 +252,9 @@ def public_scores(p, q, fmap, negatives_per_fixation, splits, seed):
 class TestScoreFrame:
     """score_frame against the six public functions, bit for bit."""
 
-    def check(self, p, q, fmap, negatives_per_fixation=1, splits=7, seed=3):
-        got = score_frame(p, q, fmap, ALL_METRICS, negatives_per_fixation, splits, seed=seed)
-        want = public_scores(p, q, fmap, negatives_per_fixation, splits, seed)
+    def check(self, p, q, fmap, splits=7, seed=3):
+        got = score_frame(p, q, fmap, ALL_METRICS, splits, seed=seed)
+        want = public_scores(p, q, fmap, splits, seed)
         assert set(got) == set(want)
         for name, value in want.items():
             if isinstance(value, CinegazeError):
@@ -277,7 +277,7 @@ class TestScoreFrame:
         fmap = build_fixation_map(points, 11, 9)
         assert len(fmap) == 3
         self.check(s, q, fmap)
-        self.check(s, q, fmap, negatives_per_fixation=3)
+        self.check(s, q, fmap, splits=3)
 
     def test_lowest_fixated_value_is_the_global_minimum(self, rng):
         s, q = rng.random((10, 10)), rng.random((10, 10))
@@ -300,7 +300,7 @@ class TestScoreFrame:
         for p, gt, fmap in cases:
             got = self.check(p, gt, fmap)
             assert any(isinstance(v, CinegazeError) for v in got.values())
-        got = self.check(rng.random((6, 6)), q, some, negatives_per_fixation=0)
+        got = self.check(rng.random((6, 6)), q, some, splits=0)
         assert isinstance(got["AUC_B"], InputError)
 
     def test_only_requested_metrics(self, rng):

@@ -86,7 +86,7 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("ident", AWKWARD_IDS)
     def test_ioc_series(self, tmp_path, ident):
-        series = IocSeries(ident, 5, 1, [(0, 0.5), (1, None), (2, 1.0 / 3.0)])
+        series = IocSeries(ident, 5, [(0, 0.5), (1, None), (2, 1.0 / 3.0)])
         path = tmp_path / "series.csv"
         write_ioc_series(series, path, meta={"window": 5})
         assert read_ioc_series(path) == series
