@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -91,8 +91,7 @@ def _prediction_map(predictions, frame: int, shape: tuple) -> SaliencyMap:
 def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKernel,
                     *, annotation: Optional[ClipAnnotation] = None,
                     metric_set: Sequence[str] = tuple(METRIC_ORDER),
-                    aucb_seed: int = 0, aucb_splits: int = 100,
-                    frames: Optional[Sequence[int]] = None) -> BenchResult:
+                    aucb_seed: int = 0, aucb_splits: int = 100) -> BenchResult:
     """Score per-frame prediction maps against the clip's ground truth.
 
     Ground truth per frame is the pooled binary fixation map (location
@@ -101,19 +100,14 @@ def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKern
     grid. Frames whose prediction is missing or unreadable, and metrics
     undefined on a frame, become error entries; the run continues.
 
-    When ``frames`` is omitted, every frame with at least one fixation is
-    evaluated. AUC-Borji uses a per-frame generator seeded with
-    aucb_seed + frame_index.
+    Every frame with at least one fixation is evaluated. AUC-Borji uses a
+    per-frame generator seeded with aucb_seed + frame_index.
     """
     metric_set = [Metric(m).value for m in metric_set]
-    if frames is None:
-        frames = [f for f in range(cleaned.frame_count) if cleaned.frame_points(f)]
     rows = []
     errors = []
-    for f in frames:
-        points = cleaned.frame_points(f)
-        if not points:
-            errors.append((f, "no fixations on frame"))
+    for f in range(cleaned.frame_count):
+        if not cleaned.frame_points(f):
             continue
         fmap = fixation_map_for_frame(cleaned, f)
         gt_blur = blur_fixations(fmap, kernel)
@@ -145,24 +139,29 @@ def _sorted_rows(rows: Sequence[ScoreRow]) -> list:
     return sorted(rows, key=lambda r: (r.clip_id, r.frame_index, r.metric))
 
 
+def group_scores(rows: Sequence[ScoreRow], groups_of: Callable) -> dict:
+    """{group: {metric: [values]}} of the rows, each value in the order of
+    ``_sorted_rows``; ``groups_of(row)`` lists the groups a row counts toward."""
+    out: dict = {}
+    for row in _sorted_rows(rows):
+        for group in groups_of(row):
+            out.setdefault(group, {}).setdefault(row.metric, []).append(row.value)
+    return out
+
+
+def _means(groups: dict) -> dict:
+    # plain sum in row order, like a running total; fsum would round differently
+    return {group: {m: sum(values) / len(values) for m, values in metrics.items()}
+            for group, metrics in groups.items()}
+
+
 def dataset_means(rows: Sequence[ScoreRow]) -> dict:
     """Unweighted per-metric mean over all rows (frames weigh equally)."""
-    sums: dict = {}
-    counts: dict = {}
-    for row in _sorted_rows(rows):
-        sums[row.metric] = sums.get(row.metric, 0.0) + row.value
-        counts[row.metric] = counts.get(row.metric, 0) + 1
-    return {m: sums[m] / counts[m] for m in sums}
+    return _means(group_scores(rows, lambda row: ("all",))).get("all", {})
 
 
 def per_clip_means(rows: Sequence[ScoreRow]) -> dict:
-    out: dict = {}
-    for row in _sorted_rows(rows):
-        bucket = out.setdefault(row.clip_id, {})
-        total, count = bucket.get(row.metric, (0.0, 0))
-        bucket[row.metric] = (total + row.value, count + 1)
-    return {clip: {m: t / c for m, (t, c) in metrics.items()}
-            for clip, metrics in out.items()}
+    return _means(group_scores(rows, lambda row: (row.clip_id,)))
 
 
 def aggregate_by_annotation(rows: Sequence[ScoreRow], kind) -> dict:
@@ -173,17 +172,8 @@ def aggregate_by_annotation(rows: Sequence[ScoreRow], kind) -> dict:
     (scored with no annotation) are excluded.
     """
     kind = PartitionKind(kind)
-    sums: dict = {}
-    counts: dict = {}
-    for row in _sorted_rows(rows):
-        for label in labels(kind, row.motions, row.angle, row.size):
-            key = (label, row.metric)
-            sums[key] = sums.get(key, 0.0) + row.value
-            counts[key] = counts.get(key, 0) + 1
-    out: dict = {}
-    for (label, metric), total in sums.items():
-        out.setdefault(label, {})[metric] = total / counts[(label, metric)]
-    return out
+    return _means(group_scores(rows, lambda row: labels(kind, row.motions, row.angle,
+                                                        row.size)))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,18 @@ Subcommands mirror the pipeline stages:
     cinegaze stats     score tables -> ANOVA / pairwise tests / correlation
     cinegaze report    score tables -> aggregates, dataset means, bias record
 
-A JSON config file (--config) supplies defaults for any flag; explicit
-flags win. The resolved configuration is echoed into every report header.
+Every setting is declared once, in DEFAULTS; a subcommand takes each of
+its settings as a ``--key-name`` flag, typed like the default. A setting
+is its flag, else its key in the JSON ``--config`` file, else its
+default; a float must be finite and an int integral. Score tables,
+aggregates and IOC series echo settings into their header lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +28,7 @@ from .annotations import (PartitionKind, cuts_of, labels, parse_annotations,
                           shot_stats)
 from .bench import (DirectoryPredictions, ReportFormat, aggregate_by_annotation,
                     benchmark_model, bias_report, dataset_means, emit_report,
-                    per_clip_means, read_score_rows)
+                    group_scores, per_clip_means, read_score_rows)
 from .core import ClipMeta, SaliencyMap
 from .errors import CinegazeError, InputError
 from .gridio import read_map, write_map
@@ -36,7 +40,7 @@ from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
 from .metrics import Metric
 from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
-from .tables import read_table, write_json, write_table
+from .tables import read_meta, read_table, write_json, write_table
 
 DEFAULTS = {
     "sigma_px": 45.0,
@@ -56,30 +60,47 @@ DEFAULTS = {
 }
 
 
-def _resolve(args, config: dict, key: str):
-    """A setting from its flag, else the config file, else DEFAULTS; it is
-    converted to the type of its default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, DEFAULTS[key])
+def _settings(p: argparse.ArgumentParser, command, *keys: str) -> None:
+    """Declare ``--config`` and each DEFAULTS key as ``--key-name``, typed
+    like its default; ``main`` resolves them, then runs ``command``."""
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]))
+    p.add_argument("--config")
+    p.set_defaults(func=command, settings=keys)
+
+
+def _typed(key: str, value):
+    """``value`` as the type of ``key``'s default: a finite float, or an int
+    from an integral number or text; a bool is neither."""
     kind = type(DEFAULTS[key])
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{key} must be {kind.__name__}, got {value!r}") from None
+        typed = kind(value)
+        valid = not isinstance(value, bool) and (
+            math.isfinite(typed) if kind is float
+            else not isinstance(value, float) or typed == value)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        wanted = "a finite float" if kind is float else "an integer"
+        raise InputError(f"{key} must be {wanted}, got {value!r}")
+    return typed
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
+def _resolve_settings(args) -> None:
+    """Set each declared setting on ``args``: its flag, else the config file,
+    else DEFAULTS."""
+    config = {}
+    if args.config:
         with open(args.config) as f:
-            loaded = json.load(f)
-        if not isinstance(loaded, dict):
+            config = json.load(f)
+        if not isinstance(config, dict):
             raise InputError(f"{args.config}: a config file is a JSON object")
-        unknown = set(loaded) - set(DEFAULTS)
+        unknown = set(config) - set(DEFAULTS)
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
-        return loaded
-    return {}
+    for key in args.settings:
+        flag = getattr(args, key)
+        setattr(args, key, _typed(key, config.get(key, DEFAULTS[key]) if flag is None else flag))
 
 
 def _load_frames_file(path) -> dict:
@@ -99,15 +120,13 @@ def _load_meta(path) -> ClipMeta:
 
 
 def cmd_ingest(args):
-    config = _load_config(args)
-    min_rate = _resolve(args, config, "min_valid_rate")
     meta = _load_meta(args.meta)
     colmap = ColumnMap.from_json(args.colmap) if args.colmap else ColumnMap()
     report = IngestReport()
     with open(args.gaze) as f:
         records, report = parse_gaze_samples(f, colmap, report)
     records = [r for r in records if r.clip_id == meta.clip_id]
-    kept, rejected = filter_observers(records, min_rate)
+    kept, rejected = filter_observers(records, args.min_valid_rate)
     report.add("observers_rejected", len(rejected))
     cleaned = clean_and_bin(kept, meta, report)
     out_dir = Path(args.out_dir)
@@ -121,40 +140,40 @@ def cmd_ingest(args):
 
 
 def cmd_saliency(args):
-    config = _load_config(args)
-    sigma = _resolve(args, config, "sigma_px")
-    truncation = _resolve(args, config, "truncation")
-
     if args.center_prior:
         if not (args.width and args.height):
             raise InputError("--center-prior requires --width and --height")
-        fraction = _resolve(args, config, "sigma_fraction")
-        prior = center_prior(args.width, args.height, fraction)
+        prior = center_prior(args.width, args.height, args.sigma_fraction)
         write_map(args.center_prior, prior.values)
         print(f"center prior {args.width}x{args.height} -> {args.center_prior}")
         return 0
 
     if not args.fixations:
         raise InputError("saliency needs --fixations (or --center-prior)")
-    kernel = make_kernel(sigma, truncation)
+    kernel = make_kernel(args.sigma_px, args.truncation)
 
     if args.average:
-        skip = _resolve(args, config, "skip_first")
-        ref_w = _resolve(args, config, "ref_width")
-        ref_h = _resolve(args, config, "ref_height")
-        if skip < 0:
-            raise InputError(f"skip_first must be >= 0, got {skip}")
-        frame_filter = _load_frames_file(args.frames_file) if args.frames_file else None
+        if args.skip_first < 0:
+            raise InputError(f"skip_first must be >= 0, got {args.skip_first}")
+        frame_filter = _load_frames_file(args.frames_file) if args.frames_file else {}
+        clips = set()
 
         def selected_maps(cleaned):
-            """The clip's wanted non-empty frames from ``skip`` on, streamed."""
-            wanted = frame_filter.get(cleaned.clip_id) if frame_filter else None
+            """The clip's wanted non-empty frames from ``skip_first`` on, streamed;
+            every frame when the frames file does not name the clip."""
+            clips.add(cleaned.clip_id)
+            wanted = frame_filter.get(cleaned.clip_id)
             return (fixation_map_for_frame(cleaned, f)
-                    for f in range(skip, cleaned.frame_count)
+                    for f in range(args.skip_first, cleaned.frame_count)
                     if (wanted is None or f in wanted) and cleaned.frame_points(f))
 
+        # one fixation file at a time: the ids are checked once all are read
         average = average_map((selected_maps(read_fixations(path))
-                               for path in args.fixations), kernel, ref_w, ref_h)
+                               for path in args.fixations), kernel,
+                              args.ref_width, args.ref_height)
+        unknown = sorted(set(frame_filter) - clips)
+        if unknown:
+            raise InputError(f"{args.frames_file}: no --fixations file has clip ids {unknown}")
         write_map(args.average, average.values)
         print(f"average map -> {args.average}")
         return 0
@@ -186,13 +205,8 @@ def cmd_saliency(args):
 
 
 def cmd_ioc(args):
-    config = _load_config(args)
-    cfg = IocConfig(
-        n=_resolve(args, config, "window"),
-        sigma_px=_resolve(args, config, "sigma_px"),
-        min_observers=_resolve(args, config, "min_observers"),
-        truncation=_resolve(args, config, "truncation"),
-    )
+    cfg = IocConfig(n=args.window, sigma_px=args.sigma_px,
+                    min_observers=args.min_observers, truncation=args.truncation)
     meta = _load_meta(args.meta)
     cleaned = read_fixations(args.fixations)
     series = loo_window_ioc(cleaned, meta, cfg)
@@ -210,9 +224,7 @@ def cmd_ioc(args):
             raise InputError("--cut-drop needs --annotation for the cut list")
         ann = parse_annotations(Path(args.annotation).read_text())
         records = cut_drop_analysis(
-            series, cuts_of(ann),
-            pre_frames=_resolve(args, config, "pre_frames"),
-            post_frames=_resolve(args, config, "post_frames"))
+            series, cuts_of(ann), pre_frames=args.pre_frames, post_frames=args.post_frames)
         write_table(args.cut_drop, ["cut", "pre_mean", "post_mean", "drop", "overlaps_context"],
                     [(r.cut, r.pre_mean, r.post_mean, r.drop, int(r.overlaps_context))
                      for r in records])
@@ -221,11 +233,7 @@ def cmd_ioc(args):
 
 
 def cmd_bench(args):
-    config = _load_config(args)
-    sigma = _resolve(args, config, "sigma_px")
-    seed = _resolve(args, config, "auc_b_seed")
-    splits = _resolve(args, config, "auc_b_splits")
-    kernel = make_kernel(sigma, _resolve(args, config, "truncation"))
+    kernel = make_kernel(args.sigma_px, args.truncation)
     cleaned = read_fixations(args.fixations)
     annotation = None
     if args.annotation:
@@ -237,11 +245,11 @@ def cmd_bench(args):
     result = benchmark_model(
         DirectoryPredictions(args.predictions), cleaned, kernel,
         annotation=annotation, metric_set=metric_set,
-        aucb_seed=seed, aucb_splits=splits)
-    echo = {"sigma_px": sigma, "auc_b_splits": splits,
+        aucb_seed=args.auc_b_seed, aucb_splits=args.auc_b_splits)
+    echo = {"sigma_px": args.sigma_px, "auc_b_splits": args.auc_b_splits,
             "metrics": ",".join(metric_set),
             "predictions": Path(args.predictions).name}
-    emit_report(result.rows, args.out, meta=echo, aucb_seed=seed)
+    emit_report(result.rows, args.out, meta=echo, aucb_seed=args.auc_b_seed)
     print(f"{len(result.rows)} scores, {len(result.errors)} frame errors -> {args.out}")
     if args.errors_out and result.errors:
         write_table(args.errors_out, ["frame_index", "reason"], result.errors)
@@ -249,7 +257,6 @@ def cmd_bench(args):
 
 
 def cmd_stats(args):
-    config = _load_config(args)
     if args.pairs:
         if not (args.x_col and args.y_col):
             raise InputError("--pairs needs --x-col and --y-col")
@@ -262,15 +269,11 @@ def cmd_stats(args):
     else:
         if not (args.scores and args.metric and args.partition):
             raise InputError("stats needs --scores/--metric/--partition or --pairs")
-        rows = read_score_rows(args.scores)
         kind = PartitionKind(args.partition)
-        groups: dict = {}
-        for row in rows:
-            if row.metric != args.metric:
-                continue
-            for label in labels(kind, row.motions, row.angle, row.size):
-                groups.setdefault(label, []).append(row.value)
-        usable = {k: v for k, v in sorted(groups.items()) if len(v) >= 2}
+        groups = group_scores(read_score_rows(args.scores),
+                              lambda row: labels(kind, row.motions, row.angle, row.size))
+        usable = {label: metrics[args.metric] for label, metrics in sorted(groups.items())
+                  if len(metrics.get(args.metric, ())) >= 2}
         if len(usable) < 2:
             raise InputError("fewer than two usable groups for ANOVA")
         res = one_way_anova(list(usable.values()), names=list(usable))
@@ -291,7 +294,6 @@ def cmd_stats(args):
 
 
 def cmd_report(args):
-    config = _load_config(args)
     fmt = ReportFormat(args.format)
     if args.bias:
         avg = SaliencyMap(read_map(args.average))
@@ -300,11 +302,10 @@ def cmd_report(args):
         write_json(args.out, {"cc_with_prior": record.cc_with_prior,
                               "peak_offset_px": list(record.peak_offset_px)})
     elif args.shot_stats:
-        fps = _resolve(args, config, "fps")
         stats_rows = []
         for path in sorted(Path(args.shot_stats).glob("*.json")):
             ann = parse_annotations(path.read_text())
-            stats_rows.append(shot_stats(ann, fps))
+            stats_rows.append(shot_stats(ann, args.fps))
         if not stats_rows:
             raise InputError(f"no annotation documents under {args.shot_stats}")
         write_table(args.out, ["clip_id", "sequence_length_s", "longest_s", "shortest_s",
@@ -315,7 +316,6 @@ def cmd_report(args):
         if not args.scores:
             raise InputError("report needs --scores, --bias or --shot-stats")
         rows = read_score_rows(args.scores)
-        seed = _resolve(args, config, "auc_b_seed")
         if args.partition:
             data = aggregate_by_annotation(rows, PartitionKind(args.partition))
             echo = {"aggregate": args.partition}
@@ -325,7 +325,9 @@ def cmd_report(args):
         else:
             data = {"all": dataset_means(rows)}
             echo = {"aggregate": "dataset_means"}
-        emit_report(data, args.out, fmt=fmt, meta=echo, aucb_seed=seed)
+        # the seed the scores were computed with, as their table records it
+        emit_report(data, args.out, fmt=fmt, meta=echo,
+                    aucb_seed=read_meta(args.scores).get("aucb_seed"))
     print(f"report -> {args.out}")
     return 0
 
@@ -340,10 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaze", required=True, help="raw gaze samples (delimited text)")
     p.add_argument("--meta", required=True, help="clip metadata JSON")
     p.add_argument("--colmap", help="column mapping descriptor JSON")
-    p.add_argument("--min-valid-rate", type=float, dest="min_valid_rate")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_ingest)
+    _settings(p, cmd_ingest, "min_valid_rate")
 
     p = sub.add_parser("saliency", help="blur fixations into saliency maps")
     p.add_argument("--fixations", action="append", help="fixation file (repeatable)")
@@ -355,30 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center-prior", help="write a centered Gaussian baseline here")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
-    p.add_argument("--sigma-px", type=float, dest="sigma_px")
-    p.add_argument("--truncation", type=float)
-    p.add_argument("--skip-first", type=int, dest="skip_first")
-    p.add_argument("--ref-width", type=int, dest="ref_width")
-    p.add_argument("--ref-height", type=int, dest="ref_height")
-    p.add_argument("--sigma-fraction", type=float, dest="sigma_fraction")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_saliency)
+    _settings(p, cmd_saliency, "sigma_px", "truncation", "skip_first", "ref_width",
+              "ref_height", "sigma_fraction")
 
     p = sub.add_parser("ioc", help="leave-one-out congruency series")
     p.add_argument("--fixations", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, help="window size in frames (5 or 20)")
-    p.add_argument("--sigma-px", type=float, dest="sigma_px")
-    p.add_argument("--truncation", type=float)
-    p.add_argument("--min-observers", type=int, dest="min_observers")
     p.add_argument("--summary", help="write a summary JSON here")
     p.add_argument("--cut-drop", dest="cut_drop", help="write per-cut drops here")
     p.add_argument("--annotation", help="annotation JSON (for --cut-drop)")
-    p.add_argument("--pre-frames", type=int, dest="pre_frames")
-    p.add_argument("--post-frames", type=int, dest="post_frames")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_ioc)
+    _settings(p, cmd_ioc, "window", "sigma_px", "truncation", "min_observers",
+              "pre_frames", "post_frames")
 
     p = sub.add_parser("bench", help="score prediction maps against ground truth")
     p.add_argument("--fixations", required=True)
@@ -386,13 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--annotation")
     p.add_argument("--metrics", help="comma-separated subset of CC,SIM,AUC_J,AUC_B,NSS,KLD")
-    p.add_argument("--sigma-px", type=float, dest="sigma_px")
-    p.add_argument("--truncation", type=float)
-    p.add_argument("--auc-b-seed", type=int, dest="auc_b_seed")
-    p.add_argument("--auc-b-splits", type=int, dest="auc_b_splits")
     p.add_argument("--errors-out", dest="errors_out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_bench)
+    _settings(p, cmd_bench, "sigma_px", "truncation", "auc_b_seed", "auc_b_splits")
 
     p = sub.add_parser("stats", help="significance tests over score tables")
     p.add_argument("--scores", help="score table from bench")
@@ -402,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-col", dest="x_col")
     p.add_argument("--y-col", dest="y_col")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_stats)
+    _settings(p, cmd_stats)
 
     p = sub.add_parser("report", help="aggregate tables and bias records")
     p.add_argument("--scores")
@@ -414,19 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", help="center prior map file (for --bias)")
     p.add_argument("--shot-stats", dest="shot_stats",
                    help="directory of annotation JSONs for a shot length table")
-    p.add_argument("--fps", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--auc-b-seed", type=int, dest="auc_b_seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_report)
+    _settings(p, cmd_report, "fps")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _resolve_settings(args)
         return args.func(args)
     except (CinegazeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,27 @@ def write_table(path, columns: Iterable[str], rows: Iterable,
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
+def _read_meta(f, path) -> tuple:
+    """(meta, column row line, its line number): the ``#`` lines of an open
+    table up to its column row."""
+    meta = {}
+    line_no = 0
+    for line in f:
+        line_no += 1
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip()
+        elif line.strip():
+            return meta, line, line_no
+    raise FormatError(f"{path}: no column row")
+
+
+def read_meta(path) -> dict:
+    """The metadata of a table, without reading its rows."""
+    with open(path, newline="") as f:
+        return _read_meta(f, path)[0]
+
+
 def read_table(path, columns: Mapping, *, subset: bool = False,
                check: Optional[Callable[[dict], Optional[Callable[[list], None]]]] = None
                ) -> tuple:
@@ -69,18 +90,8 @@ def read_table(path, columns: Mapping, *, subset: bool = False,
     row check: it sees each converted row, and a ValueError it raises
     rejects the row like a bad cell, naming its line.
     """
-    meta = {}
     with open(path, newline="") as f:
-        line_no = 0
-        for line in f:
-            line_no += 1
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                meta[key.strip()] = value.strip()
-            elif line.strip():
-                break
-        else:
-            raise FormatError(f"{path}: no column row")
+        meta, line, line_no = _read_meta(f, path)
         reader = csv.reader(itertools.chain([line], f))
         header = next(reader)
         names = list(columns)

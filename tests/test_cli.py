@@ -1,10 +1,11 @@
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cinegaze.cli import main
+from cinegaze.cli import build_parser, main
 from cinegaze.core import ClipMeta, frame_to_display
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import read_map, write_float_grid
@@ -12,6 +13,7 @@ from cinegaze.ingest import (CleanedFixations, fixation_map_for_frame, read_fixa
                              write_fixations)
 from cinegaze.ioc import read_ioc_series
 from cinegaze.saliency import center_prior, make_kernel
+from cinegaze.tables import read_meta
 
 from oracles import average_map_oracle
 
@@ -222,7 +224,7 @@ def test_average_selects_frames(tmp_path):
         pts = {f: [(float(3 * f), float(2 * f + 1)), (10.0, 7.0)] for f in (0, 1, 3, 5, 6)}
         paths.append(tmp_path / f"{clip}.csv")
         write_fixations(CleanedFixations(clip, 8, 20, 16, {"obs": pts}), paths[-1])
-    (tmp_path / "frames.json").write_text(json.dumps({"listed": [0, 1, 2, 3], "other": [5]}))
+    (tmp_path / "frames.json").write_text(json.dumps({"listed": [0, 1, 2, 3]}))
     assert main(["saliency", "--fixations", str(paths[0]), "--fixations", str(paths[1]),
                  "--average", str(tmp_path / "a.f32"), "--frames-file",
                  str(tmp_path / "frames.json"), "--skip-first", "1", "--sigma-px", "2",
@@ -233,6 +235,39 @@ def test_average_selects_frames(tmp_path):
     expected = average_map_oracle(chosen, make_kernel(2.0), 12, 10)
     assert np.allclose(read_map(tmp_path / "a.f32"), expected, rtol=2.0 ** -24,
                        atol=1e-12 * expected.max())
+
+
+def test_readme_commands_parse():
+    text = (Path(__file__).parents[1] / "README.md").read_text().replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.startswith("cinegaze ")]
+    assert len(commands) >= 13
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_flag_beats_config_beats_default(out, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"window": 5, "sigma_px": 2.0}))
+    assert main(["ioc", "--fixations", str(out / f"{CLIP}_fixations.csv"),
+                 "--meta", str(out.parent / "meta.json"), "--out", str(tmp_path / "s.csv"),
+                 "--config", str(config), "--window", "4"]) == 0
+    meta = read_meta(tmp_path / "s.csv")
+    assert (meta["window"], meta["sigma_px"], meta["truncation"]) == ("4", "2.0", "3.0")
+
+
+def test_report_takes_seed_from_score_table(out, tmp_path):
+    scores = tmp_path / "scores.csv"
+    assert main(["bench", "--fixations", str(out / f"{CLIP}_fixations.csv"),
+                 "--predictions", str(out.parent / "pred"), "--metrics", "NSS",
+                 "--auc-b-seed", "5", "--out", str(scores)]) == 0
+    assert main(["report", "--scores", str(scores), "--out", str(tmp_path / "m.csv")]) == 0
+    assert read_meta(tmp_path / "m.csv")["aucb_seed"] == "5"
+    # a table without the line gives an empty seed, not a default
+    bare = tmp_path / "bare.csv"
+    bare.write_text("clip_id,frame_index,metric,value,motions,angle,size\nc,0,NSS,1.0,,,\n")
+    assert main(["report", "--scores", str(bare), "--out", str(tmp_path / "b.csv")]) == 0
+    assert read_meta(tmp_path / "b.csv")["aucb_seed"] == ""
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -279,6 +314,10 @@ def _bad_input_argv(name, d: Path) -> list:
         (d / "frames.json").write_text("[1, 2, 3]")
         return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
                 "--frames-file", str(d / "frames.json")]
+    if name == "frames_file_unknown_clip":
+        (d / "frames.json").write_text(json.dumps({CLIP: [1, 2, 3], "other": [5]}))
+        return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
+                "--frames-file", str(d / "frames.json"), "--skip-first", "0"]
     if name == "unknown_metric":
         return ["bench", "--fixations", fix, "--predictions", str(d),
                 "--metrics", "XX", "--out", str(d / "s.csv")]
@@ -323,6 +362,16 @@ def _bad_input_argv(name, d: Path) -> list:
         (d / "config.json").write_text(json.dumps({"window": "abc"}))
         return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
                 "--config", str(d / "config.json")]
+    if name == "config_window_infinity":
+        (d / "config.json").write_text(json.dumps({"window": float("inf")}))
+        return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
+                "--config", str(d / "config.json")]
+    if name in ("fps_nan", "config_fps_nan"):
+        (d / "ann").mkdir()
+        make_annotation(d / "ann" / f"{CLIP}.json")
+        (d / "config.json").write_text(json.dumps({"fps": float("nan")}))
+        fps = {"fps_nan": ["--fps", "nan"], "config_fps_nan": ["--config", str(d / "config.json")]}
+        return ["report", "--shot-stats", str(d / "ann"), "--out", str(d / "shots.csv")] + fps[name]
     raise AssertionError(name)
 
 
@@ -332,7 +381,8 @@ def _bad_input_argv(name, d: Path) -> list:
     "config_value_not_a_number", "window_longer_than_clip", "sigma_nan",
     "truncation_inf", "frame_out_of_range", "pairs_nan_cell", "scores_nan_value",
     "skip_first_negative", "frames_empty_range", "coordinate_out_of_frame",
-    "report_json_nan"])
+    "report_json_nan", "fps_nan", "config_fps_nan", "config_window_infinity",
+    "frames_file_unknown_clip"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
