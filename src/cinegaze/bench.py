@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .annotations import ClipAnnotation, PartitionKind, labels, shot_at
-from .core import SaliencyMap
+from .core import SaliencyMap, finite_grid
 from .errors import CinegazeError, InputError
 from .gridio import read_map
 from .ingest import CleanedFixations, fixation_map_for_frame
@@ -80,12 +80,34 @@ def _load_prediction(predictions, frame: int) -> np.ndarray:
     raise InputError("predictions must expose .load(frame) or be a frame mapping")
 
 
-def _prediction_map(predictions, frame: int, shape: tuple) -> SaliencyMap:
-    """The frame's prediction on the ground-truth grid, clamped at zero."""
-    pred = _load_prediction(predictions, frame)
-    if pred.shape != shape:
-        pred = resize_bilinear(pred, shape[1], shape[0])
-    return SaliencyMap(np.maximum(pred, 0.0))
+def _prediction_map(predictions, frame: int, shape: tuple) -> np.ndarray:
+    """The frame's prediction on the ground-truth grid, clamped at zero.
+
+    It is checked once, on its native grid: resampling and clamping a
+    finite map cannot make it non-finite or negative.
+    """
+    pred = finite_grid(_load_prediction(predictions, frame))
+    if pred.shape == shape:
+        return np.maximum(pred, 0.0)  # the loader's array may be the caller's
+    pred = resize_bilinear(pred, shape[1], shape[0])
+    np.maximum(pred, 0.0, out=pred)  # the resize's own fresh grid
+    return pred
+
+
+def _keep_freed_heap() -> None:
+    """Let the allocator keep a frame's freed grids for the next frame.
+
+    glibc's malloc returns the free top of its heap to the OS once it
+    exceeds a trim threshold: twice the largest block it has served by
+    mmap and freed, so 24 MiB after a 12 MiB grid. A 1920x800 frame frees
+    about 40 MiB of grids, which the next frame then faults back in.
+    Freeing one block just under 32 MiB, the largest that moves the
+    threshold, raises it to about 64 MiB (mallopt(3), M_MMAP_THRESHOLD).
+    The block is never touched, so it costs no page; other allocators
+    just map and unmap it.
+    """
+    block = np.empty((32 << 20) - (64 << 10), dtype=np.uint8)
+    del block
 
 
 def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKernel,
@@ -106,19 +128,20 @@ def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKern
     metric_set = [Metric(m).value for m in metric_set]
     rows = []
     errors = []
+    _keep_freed_heap()
     for f in range(cleaned.frame_count):
         if not cleaned.frame_points(f):
             continue
         fmap = fixation_map_for_frame(cleaned, f)
         gt_blur = blur_fixations(fmap, kernel)
         try:
-            pred_map = _prediction_map(predictions, f, gt_blur.values.shape)
+            pred = _prediction_map(predictions, f, gt_blur.values.shape)
         except (OSError, CinegazeError, ValueError) as exc:
             errors.append((f, f"prediction unusable: {exc}"))
             continue
-        scores = score_frame(pred_map, gt_blur, fmap, metric_set, aucb_splits,
+        scores = score_frame(pred, gt_blur, fmap, metric_set, aucb_splits,
                              seed=aucb_seed + f)
-        del pred_map, gt_blur  # not kept alive while the next frame's maps are built
+        del pred, gt_blur  # not kept alive while the next frame's maps are built
         if annotation is not None:
             shot = shot_at(annotation, f)
             motions = tuple(sorted(m.value for m in shot.motions))

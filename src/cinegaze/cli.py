@@ -9,10 +9,12 @@ Subcommands mirror the pipeline stages:
     cinegaze stats     score tables -> ANOVA / pairwise tests / correlation
     cinegaze report    score tables -> aggregates, dataset means, bias record
 
-Every setting is declared once, in DEFAULTS; a subcommand takes each of
-its settings as a ``--key-name`` flag, typed like the default. A setting
-is its flag, else its key in the JSON ``--config`` file, else its
-default; a float must be finite and an int integral. Score tables,
+Every setting is declared once, in DEFAULTS, with its default and its
+bounds; a subcommand takes each of its settings as a ``--key-name`` flag,
+typed like the default. A setting is its flag, else its key in the JSON
+``--config`` file, else its default; a float must be finite, an int
+integral, and either must meet its bounds. Every setting is checked
+before a subcommand runs, so a bad one writes no output. Score tables,
 aggregates and IOC series echo settings into their header lines.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -42,37 +45,42 @@ from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
 from .tables import read_meta, read_table, write_json, write_table
 
+#: setting -> (default, *bounds); a bound is (comparison, limit)
 DEFAULTS = {
-    "sigma_px": 45.0,
-    "truncation": 3.0,
-    "window": 20,
-    "skip_first": 10,
-    "min_valid_rate": 0.9,
-    "min_observers": 2,
-    "auc_b_seed": 1,
-    "auc_b_splits": 100,
-    "ref_width": 640,
-    "ref_height": 400,
-    "sigma_fraction": 1.0 / 6.0,
-    "pre_frames": 5,
-    "post_frames": 5,
-    "fps": 24.0,
+    "sigma_px": (45.0, (">", 0)),
+    "truncation": (3.0, (">", 0)),
+    "window": (20, (">=", 1)),
+    "skip_first": (10, (">=", 0)),
+    "min_valid_rate": (0.9, (">=", 0), ("<=", 1)),
+    "min_observers": (2, (">=", 2)),
+    "auc_b_seed": (1, (">=", 0)),
+    "auc_b_splits": (100, (">=", 1)),
+    "ref_width": (640, (">=", 1)),
+    "ref_height": (400, (">=", 1)),
+    "sigma_fraction": (1.0 / 6.0, (">", 0)),
+    "pre_frames": (5, (">=", 1)),
+    "post_frames": (5, (">=", 1)),
+    "fps": (24.0, (">", 0)),
 }
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def _settings(p: argparse.ArgumentParser, command, *keys: str) -> None:
     """Declare ``--config`` and each DEFAULTS key as ``--key-name``, typed
     like its default; ``main`` resolves them, then runs ``command``."""
     for key in keys:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(DEFAULTS[key]))
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=type(DEFAULTS[key][0]))
     p.add_argument("--config")
     p.set_defaults(func=command, settings=keys)
 
 
 def _typed(key: str, value):
     """``value`` as the type of ``key``'s default: a finite float, or an int
-    from an integral number or text; a bool is neither."""
-    kind = type(DEFAULTS[key])
+    from an integral number or text; a bool is neither. It must meet the
+    key's bounds."""
+    default, *bounds = DEFAULTS[key]
+    kind = type(default)
     try:
         typed = kind(value)
         valid = not isinstance(value, bool) and (
@@ -82,6 +90,9 @@ def _typed(key: str, value):
         valid = False
     if not valid:
         wanted = "a finite float" if kind is float else "an integer"
+        raise InputError(f"{key} must be {wanted}, got {value!r}")
+    if not all(_COMPARISONS[op](typed, limit) for op, limit in bounds):
+        wanted = " and ".join(f"{op} {limit}" for op, limit in bounds)
         raise InputError(f"{key} must be {wanted}, got {value!r}")
     return typed
 
@@ -100,7 +111,7 @@ def _resolve_settings(args) -> None:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
     for key in args.settings:
         flag = getattr(args, key)
-        setattr(args, key, _typed(key, config.get(key, DEFAULTS[key]) if flag is None else flag))
+        setattr(args, key, _typed(key, config.get(key, DEFAULTS[key][0]) if flag is None else flag))
 
 
 def _load_frames_file(path) -> dict:
@@ -153,8 +164,6 @@ def cmd_saliency(args):
     kernel = make_kernel(args.sigma_px, args.truncation)
 
     if args.average:
-        if args.skip_first < 0:
-            raise InputError(f"skip_first must be >= 0, got {args.skip_first}")
         frame_filter = _load_frames_file(args.frames_file) if args.frames_file else {}
         clips = set()
 
@@ -207,24 +216,28 @@ def cmd_saliency(args):
 def cmd_ioc(args):
     cfg = IocConfig(n=args.window, sigma_px=args.sigma_px,
                     min_observers=args.min_observers, truncation=args.truncation)
+    cuts = None
+    if args.cut_drop:
+        if not args.annotation:
+            raise InputError("--cut-drop needs --annotation for the cut list")
+        cuts = cuts_of(parse_annotations(Path(args.annotation).read_text()))
     meta = _load_meta(args.meta)
     cleaned = read_fixations(args.fixations)
     series = loo_window_ioc(cleaned, meta, cfg)
+    # every output is computed before the first is written
+    summary = sequence_ioc_summary(series) if args.summary else None
+    records = cut_drop_analysis(series, cuts, pre_frames=args.pre_frames,
+                                post_frames=args.post_frames) if cuts is not None else None
     echo = {"window": cfg.n, "sigma_px": cfg.sigma_px,
             "truncation": cfg.truncation, "min_observers": cfg.min_observers}
     write_ioc_series(series, args.out, meta=echo)
     print(f"{series.clip_id}: {len(series.values)} windows -> {args.out}")
-    if args.summary:
-        s = sequence_ioc_summary(series)
-        write_json(args.summary, {"clip_id": series.clip_id, "n": series.n, "mean": s.mean,
-                                  "median": s.median, "std": s.std, "count": s.count})
-        print(f"summary mean={s.mean:.4f} -> {args.summary}")
-    if args.cut_drop:
-        if not args.annotation:
-            raise InputError("--cut-drop needs --annotation for the cut list")
-        ann = parse_annotations(Path(args.annotation).read_text())
-        records = cut_drop_analysis(
-            series, cuts_of(ann), pre_frames=args.pre_frames, post_frames=args.post_frames)
+    if summary is not None:
+        write_json(args.summary, {"clip_id": series.clip_id, "n": series.n,
+                                  "mean": summary.mean, "median": summary.median,
+                                  "std": summary.std, "count": summary.count})
+        print(f"summary mean={summary.mean:.4f} -> {args.summary}")
+    if records is not None:
         write_table(args.cut_drop, ["cut", "pre_mean", "post_mean", "drop", "overlaps_context"],
                     [(r.cut, r.pre_mean, r.post_mean, r.drop, int(r.overlaps_context))
                      for r in records])

@@ -187,6 +187,17 @@ class FixationMap:
         return grid
 
 
+def finite_grid(values) -> np.ndarray:
+    """``values`` as a float grid; InputError unless it is a non-empty,
+    finite 2-D grid."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 2 or v.size == 0:
+        raise InputError("SaliencyMap expects a non-empty 2-D grid")
+    if not np.all(np.isfinite(v)):
+        raise InputError("SaliencyMap values must be finite")
+    return v
+
+
 @dataclass(frozen=True)
 class SaliencyMap:
     """Dense non-negative real-valued grid, indexed [y, x]."""
@@ -194,11 +205,7 @@ class SaliencyMap:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.size == 0:
-            raise InputError("SaliencyMap expects a non-empty 2-D grid")
-        if not np.all(np.isfinite(v)):
-            raise InputError("SaliencyMap values must be finite")
+        v = finite_grid(self.values)
         if np.any(v < 0):
             raise InputError("SaliencyMap values must be non-negative")
         object.__setattr__(self, "values", v)

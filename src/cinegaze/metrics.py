@@ -12,7 +12,13 @@ Conventions pinned here and echoed in report headers:
 * AUC thresholds use >= comparisons on both axes, so ties score at chance
   and a constant map gets exactly 0.5;
 * KLD(P, Q) treats Q as ground truth and regularizes only the prediction:
-  sum Q * log(Q / (P + eps)) on unit-sum maps, eps = 1e-7.
+  sum Q * log(Q / (P + eps)) on unit-sum maps, eps = 1e-7;
+* SIM and KLD take non-negative maps.
+
+CC, SIM and KLD are summed over the ground truth's support, the pixels
+where Q is non-zero: SIM and KLD have no terms outside it, and CC's
+cross term has none either, because the prediction's deviations from
+its mean sum to zero.
 
 ``score_frame`` scores every metric of one frame from shared
 intermediates; the six public functions share its kernels and agree
@@ -72,10 +78,10 @@ def _fixated(f: FixationMap, shape) -> np.ndarray:
 # give the same value bit for bit on the same map.
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of the elementwise products of two maps, in one pass and
-    without a full-grid temporary. einsum runs its own loop, not BLAS,
-    so the bits do not depend on the BLAS thread count."""
-    return float(np.einsum("ij,ij->", a, b))
+    """Sum of the elementwise products of two equal-shaped arrays, in one
+    pass and without a temporary. einsum runs its own loop, not BLAS, so
+    the bits do not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def _centered(v: np.ndarray) -> tuple:
@@ -84,13 +90,29 @@ def _centered(v: np.ndarray) -> tuple:
     return d, _dot(d, d)
 
 
-def _cc(dp, ssp: float, dq, ssq: float) -> float:
+def _support(q: np.ndarray) -> tuple:
+    """(mask of q != 0, q's values there, their sum): the ground truth's
+    support, the only pixels that CC, SIM and KLD sum over."""
+    on = q != 0
+    qs = q[on]
+    return on, qs, float(qs.sum())
+
+
+def _cc(dp, ssp: float, on, qs, q_sum: float) -> float:
+    """CC from the prediction's deviations ``dp`` and the ground truth on
+    its support ``on``."""
+    mq = q_sum / dp.size
+    dq = qs - mq
+    # each of the pixels off the support deviates by -mq
+    ssq = _dot(dq, dq) + (dp.size - qs.size) * mq * mq
+    del dq
     sp, sq = math.sqrt(ssp), math.sqrt(ssq)
     if sp == 0.0 and sq == 0.0:
         raise UndefinedValueError("cc undefined: both maps are constant")
     if sp == 0.0 or sq == 0.0:
         return 0.0
-    r = _dot(dp, dq) / (sp * sq)
+    # sum(dp * (q - mq)) = sum(dp * q), as sum(dp) = 0; q is 0 off the support
+    r = _dot(dp[on], qs) / (sp * sq)
     return min(1.0, max(-1.0, r))
 
 
@@ -103,22 +125,29 @@ def _nss(fixated_deviations: np.ndarray, ss: float, n: int) -> float:
     return float((fixated_deviations / sd).mean())
 
 
-def _normalized(pv, qv, name: str) -> tuple:
-    """Both maps scaled to unit sum; InputError unless both masses are positive."""
-    ps, qs = float(pv.sum()), float(qv.sum())
-    if ps <= 0 or qs <= 0:
+def _normalized(pv, on, qs, q_sum: float, name: str) -> tuple:
+    """Both maps on the ground truth's support ``on``, each scaled by its
+    total mass; InputError unless both masses are positive."""
+    p_sum = float(pv.sum())
+    if p_sum <= 0 or q_sum <= 0:
         raise InputError(f"{name} requires maps with positive total mass")
-    return pv / ps, qv / qs
+    pn = pv[on]
+    pn /= p_sum
+    return pn, qs / q_sum
 
 
 def _sim(pn, qn) -> float:
+    """SIM from both unit-sum maps on the support: min(p, 0) is 0 off it."""
     return float(np.minimum(pn, qn).sum())
 
 
 def _kld(pn, qn, epsilon: float) -> float:
-    support = qn > 0
-    q = qn[support]
-    return float((q * (np.log(q) - np.log(pn[support] + epsilon))).sum())
+    """KLD from both unit-sum maps on the support, where every q is positive."""
+    terms = pn + epsilon  # reused in place, which keeps peak memory low
+    np.log(terms, out=terms)
+    np.subtract(np.log(qn), terms, out=terms)
+    terms *= qn
+    return float(terms.sum())
 
 
 def _at_or_above(sorted_vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -190,12 +219,16 @@ def cc(p, q) -> float:
     constant the correlation carries no signal and 0.0 is returned.
     """
     pv, qv = _paired(p, q)
-    return _cc(*_centered(pv), *_centered(qv))
+    return _cc(*_centered(pv), *_support(qv))
 
 
 def sim(p, q) -> float:
-    """Histogram intersection: sum of pixelwise minima of unit-sum maps."""
-    return _sim(*_normalized(*_paired(p, q), "sim"))
+    """Histogram intersection: sum of pixelwise minima of unit-sum maps.
+
+    Both maps must be non-negative.
+    """
+    pv, qv = _paired(p, q)
+    return _sim(*_normalized(pv, *_support(qv), "sim"))
 
 
 def nss(s, f: FixationMap) -> float:
@@ -229,10 +262,12 @@ def auc_borji(s, f: FixationMap, negatives_per_fixation: int = 1,
 def kld(p, q, epsilon: float = KLD_EPSILON) -> float:
     """Kullback-Leibler divergence of ground truth Q from prediction P.
 
-    Both maps are normalized to unit sum; epsilon regularizes P inside the
-    logarithm so empty predicted regions stay finite. 0 * log(0/.) is 0.
+    Both maps must be non-negative. They are normalized to unit sum;
+    epsilon regularizes P inside the logarithm so empty predicted regions
+    stay finite. 0 * log(0/.) is 0.
     """
-    return _kld(*_normalized(*_paired(p, q), "kld"), epsilon)
+    pv, qv = _paired(p, q)
+    return _kld(*_normalized(pv, *_support(qv), "kld"), epsilon)
 
 
 def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
@@ -244,14 +279,17 @@ def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
     ``default_rng(seed)``. A metric that is undefined on this frame maps
     to the CinegazeError its public function would raise; values equal
     the public functions' bit for bit. Work shared between metrics is
-    done once: the prediction's deviations from its mean (CC, NSS), the
-    unit-sum maps (SIM, KLD) and the fixated pixels' positions (NSS and
+    done once: the ground truth's support (CC, SIM, KLD), the
+    prediction's deviations from its mean (CC, NSS), the unit-sum maps on
+    the support (SIM, KLD) and the fixated pixels' positions (NSS and
     both AUCs). Maps of different dimensions raise InputError.
     """
     wanted = {Metric(m).value for m in metric_set}
     p, q = _paired(pred, gt)
     fpos = _fixated(fmap, p.shape)
     scores = {}
+    if wanted & {"CC", "SIM", "KLD"}:
+        support = _support(q)
 
     def score(name, fn, *args):
         try:
@@ -266,15 +304,15 @@ def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
         if "NSS" in wanted:
             score("NSS", _nss, dp.ravel()[fpos], ssp, p.size)
         if "CC" in wanted:
-            score("CC", lambda: _cc(dp, ssp, *_centered(q)))
+            score("CC", _cc, dp, ssp, *support)
         del dp
     unit = [m for m in ("SIM", "KLD") if m in wanted]
     if unit:
         try:
-            pn, qn = _normalized(p, q, unit[0].lower())
+            pn, qn = _normalized(p, *support, unit[0].lower())
         except InputError:
             for name in unit:  # the same check, raised with each one's message
-                score(name, _normalized, p, q, name.lower())
+                score(name, _normalized, p, *support, name.lower())
         else:
             if "SIM" in wanted:
                 score("SIM", _sim, pn, qn)

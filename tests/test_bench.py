@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cinegaze import bench
 from cinegaze.annotations import parse_annotations
 from cinegaze.bench import (DirectoryPredictions, ReportFormat, ScoreRow,
                             aggregate_by_annotation, benchmark_model,
@@ -14,7 +15,7 @@ from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import write_float_grid
 from cinegaze.ingest import fixation_map_for_frame
 from cinegaze.metrics import auc_borji, auc_judd, cc, kld, nss, sim
-from cinegaze.saliency import blur_fixations, center_prior, make_kernel
+from cinegaze.saliency import blur_fixations, center_prior, make_kernel, resize_bilinear
 
 
 @pytest.fixture
@@ -104,6 +105,47 @@ class TestBenchmarkModel:
         assert all("CC" in reason for _, reason in result.errors)
         # AUC on a constant map is chance, not an error
         assert all(r.value == 0.5 for r in result.rows if r.metric == "AUC_J")
+
+    def test_bad_native_prediction_is_a_frame_error(self, clip, kernel, rng):
+        predictions = {f: rng.random((16, 24)) for f in range(10)}  # resampled
+        predictions[3][5, 7] = np.nan
+        predictions[6] = rng.random((32, 48))  # on the ground-truth grid
+        predictions[6][0, 0] = np.inf
+        predictions[8] = rng.random(24)
+        result = benchmark_model(predictions, clip, kernel, aucb_seed=5)
+        assert sorted(result.errors) == [
+            (3, "prediction unusable: SaliencyMap values must be finite"),
+            (6, "prediction unusable: SaliencyMap values must be finite"),
+            (8, "prediction unusable: SaliencyMap expects a non-empty 2-D grid")]
+        assert {r.frame_index for r in result.rows} == set(range(10)) - {3, 6, 8}
+
+    def test_negative_prediction_scores_like_its_clamp(self, clip, kernel, rng):
+        signed = {f: rng.random((16, 24) if f % 2 else (32, 48)) - 0.5 for f in range(10)}
+        clamped = {f: np.maximum(v if v.shape == (32, 48) else resize_bilinear(v, 48, 32), 0.0)
+                   for f, v in signed.items()}
+        got = benchmark_model(signed, clip, kernel, aucb_seed=5)
+        want = benchmark_model(clamped, clip, kernel, aucb_seed=5)
+        assert got.rows == want.rows and got.errors == want.errors
+        assert len(got.rows) == 60
+
+    def test_one_blur_per_scored_frame_one_resize_per_resampled_frame(
+            self, clip, kernel, rng, monkeypatch):
+        calls = {"blur_fixations": 0, "resize_bilinear": 0}
+
+        def counted(name):
+            real = getattr(bench, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+        for name in calls:
+            monkeypatch.setattr(bench, name, counted(name))
+        predictions = {f: rng.random((16, 24) if f % 3 else (32, 48)) for f in range(10)}
+        result = benchmark_model(predictions, clip, kernel, aucb_seed=5)
+        scored = {r.frame_index for r in result.rows}
+        assert not result.errors and len(scored) == 10
+        assert calls == {"blur_fixations": 10, "resize_bilinear": 6}
 
     def test_labels_joined_from_annotation(self, clip, kernel, rng):
         ann = annotation_for(clip)

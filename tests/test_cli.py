@@ -285,6 +285,15 @@ def test_cli_errors_return_nonzero(tmp_path):
     assert rc != 0
 
 
+def _predictions(d: Path) -> str:
+    """A directory with a scorable prediction for every frame."""
+    preds = d / "preds"
+    preds.mkdir()
+    for f in range(FRAMES):
+        write_float_grid(preds / f"{f:06d}.f32", center_prior(W, H).values)
+    return str(preds)
+
+
 def _bad_input_argv(name, d: Path) -> list:
     """Argument list for one malformed user input; files live under d."""
     fix = str(d / f"{CLIP}_fixations.csv")
@@ -331,12 +340,22 @@ def _bad_input_argv(name, d: Path) -> list:
     if name == "frame_out_of_range":
         bad = d / "bad_fixations.csv"
         bad.write_text(Path(fix).read_text() + f"obs00,-1,10.0,10.0\nobs00,{FRAMES},10.0,10.0\n")
-        preds = d / "preds"
-        preds.mkdir()
-        for f in range(FRAMES):  # every frame scorable, so only the range can fail
-            write_float_grid(preds / f"{f:06d}.f32", center_prior(W, H).values)
-        return ["bench", "--fixations", str(bad), "--predictions", str(preds),
+        # every frame scorable, so only the range can fail
+        return ["bench", "--fixations", str(bad), "--predictions", _predictions(d),
                 "--out", str(d / "s.csv")]
+    if name in ("auc_b_seed_negative", "auc_b_splits_zero"):
+        flag = {"auc_b_seed_negative": ["--auc-b-seed", "-5"],
+                "auc_b_splits_zero": ["--auc-b-splits", "0"]}
+        return ["bench", "--fixations", fix, "--predictions", _predictions(d),
+                "--out", str(d / "s.csv")] + flag[name]
+    if name == "cut_drop_without_annotation":
+        return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
+                "--cut-drop", str(d / "cuts.csv")]
+    if name == "pre_frames_negative":
+        make_annotation(d / "ann.json")
+        return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
+                "--cut-drop", str(d / "cuts.csv"), "--annotation", str(d / "ann.json"),
+                "--pre-frames", "-3"]
     if name == "coordinate_out_of_frame":
         bad = d / "bad_fixations.csv"
         bad.write_text(Path(fix).read_text() + f"obs00,5,{W + 5}.0,10.0\n")
@@ -382,7 +401,8 @@ def _bad_input_argv(name, d: Path) -> list:
     "truncation_inf", "frame_out_of_range", "pairs_nan_cell", "scores_nan_value",
     "skip_first_negative", "frames_empty_range", "coordinate_out_of_frame",
     "report_json_nan", "fps_nan", "config_fps_nan", "config_window_infinity",
-    "frames_file_unknown_clip"])
+    "frames_file_unknown_clip", "auc_b_seed_negative", "auc_b_splits_zero",
+    "cut_drop_without_annotation", "pre_frames_negative"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
@@ -394,6 +414,6 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "s.csv").exists()
-    for flag in ("--out", "--average"):
+    for flag in ("--out", "--average", "--cut-drop"):
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()

@@ -46,6 +46,13 @@ class TestCC:
         p, q = rng.random((8, 8)), rng.random((8, 8))
         assert cc(p, q) == pytest.approx(cc(q, p), abs=1e-14)
 
+    def test_signed_ground_truth_zero_on_part_of_the_grid(self, rng):
+        # the cross term is summed where q != 0, so negative q counts too
+        p, q = rng.random((9, 7)), rng.normal(size=(9, 7))
+        q[:, :3] = 0.0
+        assert cc(p, q) == pytest.approx(cc_oracle(p, q), abs=1e-12)
+        assert cc(q, p) == pytest.approx(cc_oracle(q, p), abs=1e-12)
+
 
 class TestSIM:
     def test_self_similarity(self, rng):
@@ -302,6 +309,59 @@ class TestScoreFrame:
             assert any(isinstance(v, CinegazeError) for v in got.values())
         got = self.check(rng.random((6, 6)), q, some, splits=0)
         assert isinstance(got["AUC_B"], InputError)
+
+    def check_distributions(self, p, q, got):
+        assert got["SIM"] == pytest.approx(sim_oracle(p, q), abs=1e-6)
+        assert got["KLD"] == pytest.approx(kld_oracle(p, q, KLD_EPSILON), abs=1e-6)
+
+    def test_ground_truth_zero_on_part_of_the_grid(self, rng):
+        fmap = fixation_map([(2, 3), (9, 9)], 12, 12)
+        blur = blur_fixations(fixation_map([(3, 3), (4, 9)], 12, 12), make_kernel(1.0))
+        holes = rng.random((12, 12))
+        holes[holes < 0.5] = 0.0
+        for q in (blur.values, holes):
+            assert 0 < np.count_nonzero(q) < q.size
+            p = rng.random((12, 12))
+            got = self.check(p, q, fmap)
+            assert got["CC"] == pytest.approx(cc_oracle(p, q), abs=1e-6)
+            self.check_distributions(p, q, got)
+
+    def test_ground_truth_zero_on_none_of_the_grid(self, rng):
+        p, q = rng.random((12, 12)), rng.random((12, 12)) + 1e-3
+        got = self.check(p, q, fixation_map([(2, 3)], 12, 12))
+        assert got["CC"] == pytest.approx(cc_oracle(p, q), abs=1e-6)
+        self.check_distributions(p, q, got)
+
+    def test_ground_truth_zero_on_all_of_the_grid(self, rng):
+        p = rng.random((12, 12))
+        got = self.check(p, np.zeros((12, 12)), fixation_map([(2, 3)], 12, 12))
+        assert got["CC"] == 0.0
+        assert isinstance(got["SIM"], InputError) and isinstance(got["KLD"], InputError)
+        got = self.check(np.ones((12, 12)), np.zeros((12, 12)), fixation_map([(2, 3)], 12, 12))
+        assert isinstance(got["CC"], UndefinedValueError)
+
+    def test_prediction_zero_on_part_of_the_support(self, rng):
+        # KLD's epsilon keeps the log finite where p is 0 and q is not
+        p, q = rng.random((12, 12)), rng.random((12, 12))
+        q[:, :4] = 0.0
+        p[2:6, 5:9] = 0.0
+        got = self.check(p, q, fixation_map([(6, 3), (10, 10)], 12, 12))
+        assert got["CC"] == pytest.approx(cc_oracle(p, q), abs=1e-6)
+        self.check_distributions(p, q, got)
+        assert math.isfinite(got["KLD"]) and got["KLD"] > 1.0
+
+    def test_constant_maps(self, rng):
+        fmap = fixation_map([(2, 3), (9, 9)], 12, 12)
+        q = blur_fixations(fixation_map([(3, 3)], 12, 12), make_kernel(1.0)).values
+        flat = np.full((12, 12), 0.5)
+        got = self.check(flat, q, fmap)
+        assert got["CC"] == 0.0 and got["AUC_J"] == 0.5
+        assert isinstance(got["NSS"], UndefinedValueError)
+        self.check_distributions(flat, q, got)
+        p = rng.random((12, 12))
+        got = self.check(p, np.full((12, 12), 2.0), fmap)
+        assert got["CC"] == 0.0
+        self.check_distributions(p, np.full((12, 12), 2.0), got)
 
     def test_only_requested_metrics(self, rng):
         s, q = rng.random((8, 8)), rng.random((8, 8))
