@@ -39,7 +39,7 @@ from .ingest import (ColumnMap, IngestReport, clean_and_bin, filter_observers,
                      fixation_map_for_frame, parse_gaze_samples,
                      read_fixations, write_fixations)
 from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
-                  sequence_ioc_summary, write_ioc_series)
+                  sequence_ioc_summary, series_header, write_ioc_series)
 from .metrics import Metric
 from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
@@ -233,9 +233,12 @@ def cmd_ioc(args):
     write_ioc_series(series, args.out, meta=echo)
     print(f"{series.clip_id}: {len(series.values)} windows -> {args.out}")
     if summary is not None:
+        header = series_header(echo)
         write_json(args.summary, {"clip_id": series.clip_id, "n": series.n,
                                   "mean": summary.mean, "median": summary.median,
-                                  "std": summary.std, "count": summary.count})
+                                  "std": summary.std, "count": summary.count,
+                                  "tool_version": header["tool_version"],
+                                  "config_hash": header["config_hash"]})
         print(f"summary mean={summary.mean:.4f} -> {args.summary}")
     if records is not None:
         write_table(args.cut_drop, ["cut", "pre_mean", "post_mean", "drop", "overlaps_context"],

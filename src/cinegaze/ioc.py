@@ -16,16 +16,28 @@ Gaussian factorizes:
 * map values at fixations: pairwise kernel products.
 
 This is algebraically identical to blurring and z-scoring dense grids
-(the naive route lives in the test suite as an oracle). The second
-moment and the values at fixations reduce to two observer-by-observer
-matrices of pair sums over the window's pixels, and these slide with the
-window: a step subtracts the pairs of the pixels that leave it and adds
-those of the pixels that enter it. A step costs (entering + leaving
-pixels) x window pixels pair evaluations instead of window pixels^2, and
-nothing is O(pixels * kernel). The sums are rebuilt from scratch every
-``_REANCHOR`` windows, which bounds the rounding drift, and on any step
-where sliding would cost more pair evaluations than rebuilding (as with
-single-frame windows).
+(the naive route lives in the test suite as an oracle). Per window and
+observer, the second moment and the values at fixations need sums over
+pairs of the window's pixels, and each pair is evaluated once for the
+whole series:
+
+* A key, one (observer, pixel), is present in the windows
+  [first frame - n + 1, last frame] of each of its presence intervals;
+  occurrences at most n frames apart share one interval.
+* Keys with equal intervals form a class. Each class is paired as one
+  block with itself and with every later class that starts before it
+  ends; every pair in a block enters the window series at the later
+  start and leaves at the earlier end.
+* So a block's observer sums go into difference arrays at two window
+  indices, and so do each key's count and mass. Cumulative sums over the
+  windows give every window's sums at once; they restart from zero every
+  ``_REANCHOR`` windows, which bounds the rounding drift however long
+  the clip is.
+* All windows are then scored at once as windows x observers arrays.
+
+Work is the pairs of co-present keys, each evaluated once, plus the
+pairs of small classes that share a block without overlapping, plus a
+constant per window; nothing is O(pixels * kernel).
 
 Semantics pinned here and echoed in series-file metadata: stride is one
 frame; windows truncated by the clip end are dropped; each observer's
@@ -36,14 +48,14 @@ zero; a window with no scorable observer pair has an absent score.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import ClipMeta, rasterize_point
+from .core import ClipMeta
 from .errors import FormatError, InputError
 from .ingest import CleanedFixations
 from .saliency import make_kernel
@@ -108,51 +120,215 @@ def _corr_table(k1: np.ndarray, r: int, length: int) -> np.ndarray:
     kernel support, so callers can index with min(d, 2r + 1).
     """
     two_r = 2 * r
+    d = np.arange(two_r + 1)[:, None]
+    i = np.arange(two_r + 1)[None, :]
+    # csum[d, j]: sum of the first j products k1[d + i] * k1[i], in order
+    csum = np.zeros((two_r + 1, two_r + 2))
+    csum[:, 1:] = np.where(d + i <= two_r, k1[np.minimum(d + i, two_r)] * k1[i], 0.0)
+    np.cumsum(csum, axis=1, out=csum)
     table = np.zeros((two_r + 2, length))
-    m = np.arange(length)
-    for d in range(two_r + 1):
-        u = np.arange(d - r, r + 1)  # offsets where both factors are non-zero
-        prod = k1[u + r] * k1[u - d + r]
-        csum = np.concatenate(([0.0], np.cumsum(prod)))
-        lo_u = np.maximum(d - r, -m)
-        hi_u = np.minimum(r, (length - 1) - m)
-        lo_i = lo_u - (d - r)
-        hi_i = hi_u - (d - r)
-        valid = hi_u >= lo_u
-        row = np.zeros(length)
-        row[valid] = csum[hi_i[valid] + 1] - csum[lo_i[valid]]
-        table[d] = row
+    # away from the borders every row is its full sum; the kernel is
+    # clipped only for the columns m within r of either edge
+    table[:two_r + 1] = csum[np.arange(two_r + 1), two_r + 1 - np.arange(two_r + 1)][:, None]
+    m = np.flatnonzero((np.arange(length) < r) | (np.arange(length) > length - 1 - r))
+    lo = np.maximum(0, r - d - m)
+    hi = np.minimum(two_r - d, length - 1 - m - d + r)
+    table[:two_r + 1, m] = np.where(
+        hi >= lo, csum[d, np.maximum(hi, -1) + 1] - csum[d, lo], 0.0)
     return table
 
 
 def _window_keys(fixations: CleanedFixations, width: int, height: int):
-    """Frame-sorted frame indices and keys of every rasterized point.
+    """Frame indices and keys of every rasterized point.
 
     A point of observer i (in ``observers()`` order) on pixel (x, y) gets
-    the key i * width * height + y * width + x, so a sorted key array is
-    grouped by observer and a window's binary pixel sets are the unique
-    keys of its slice.
+    the key i * width * height + y * width + x, so sorted keys are grouped
+    by observer. Pixels are rounded half up, and the last half pixel
+    sticks to the grid edge, as ``core.rasterize_point`` does.
     """
-    n_pixels = width * height
-    frames = []
-    keys = []
-    for oi, obs in enumerate(fixations.observers()):
-        for t, pts in fixations.by_observer[obs].items():
-            for (x, y) in pts:
-                xi, yi = rasterize_point(x, y, width, height)
-                frames.append(t)
-                keys.append(oi * n_pixels + yi * width + xi)
-    frames = np.asarray(frames, dtype=np.int64)
-    order = np.argsort(frames, kind="stable")
-    return frames[order], np.asarray(keys, dtype=np.int64)[order]
+    frames, sizes, per_observer, points = [], [], [], []
+    for obs in fixations.observers():
+        by_frame = fixations.by_observer[obs]
+        frames.extend(by_frame)
+        sizes.extend(map(len, by_frame.values()))
+        per_observer.append(sum(map(len, by_frame.values())))
+        for pts in by_frame.values():
+            points.extend(pts)
+    xy = np.fromiter(itertools.chain.from_iterable(points), dtype=float,
+                     count=2 * len(points)).reshape(-1, 2)
+    inside = ((xy >= 0) & (xy < (width, height))).all(axis=1)
+    if not inside.all():
+        px, py = points[int(np.argmin(inside))]
+        raise InputError(f"point ({px}, {py}) outside {width}x{height} frame")
+    xy += 0.5
+    np.floor(xy, out=xy)
+    np.minimum(xy, (width - 1, height - 1), out=xy)
+    keys = np.repeat(np.arange(len(per_observer), dtype=np.int64) * (width * height), per_observer)
+    keys += xy[:, 1].astype(np.int64) * width
+    keys += xy[:, 0].astype(np.int64)
+    return np.repeat(np.asarray(frames, dtype=np.int64), sizes), keys
 
 
-# row-block size cap so pairwise temporaries stay within ~32 MB
-_PAIR_BLOCK_ELEMENTS = 4_000_000
+def _presence(frames: np.ndarray, keys: np.ndarray, n: int, total_frames: int):
+    """(key, first window, last window) of every presence interval.
 
-#: windows between from-scratch rebuilds of the pair sums, bounding the
-#: rounding drift of the incremental updates
+    A key seen on frame f is in the windows [f - n + 1, f]; occurrences at
+    most n frames apart leave no window between them and share one
+    interval. Intervals are clipped to the clip's complete windows.
+    """
+    on_clip = (frames >= 0) & (frames < total_frames)
+    seen = np.unique(keys[on_clip] * total_frames + frames[on_clip])
+    key, frame = np.divmod(seen, total_frames)
+    opens = np.ones(seen.size, dtype=bool)
+    opens[1:] = (key[1:] != key[:-1]) | (frame[1:] - frame[:-1] > n)
+    closes = np.ones(seen.size, dtype=bool)
+    closes[:-1] = opens[1:]
+    first, last = np.flatnonzero(opens), np.flatnonzero(closes)
+    return (key[first], np.maximum(frame[first] - n + 1, 0),
+            np.minimum(frame[last], total_frames - n))
+
+
+def _add_spans(diff: np.ndarray, lo, hi, cols, values) -> None:
+    """Add values[i, k] to column cols[i, k] of the windows lo[i] .. hi[i].
+
+    ``diff`` is a difference array whose cumulative sums restart every
+    ``_REANCHOR`` windows, so a span is added again at each segment start
+    it crosses, and is not taken off where it ends with a segment.
+    """
+    np.add.at(diff, (lo[:, None], cols), values)
+    first = lo // _REANCHOR + 1
+    more = hi // _REANCHOR - first + 1
+    if more.any():
+        entry = np.repeat(np.arange(lo.size), more)
+        segment = np.arange(entry.size) - np.repeat(np.cumsum(more) - more - first, more)
+        np.add.at(diff, ((segment * _REANCHOR)[:, None], cols[entry]), values[entry])
+    stop = hi + 1
+    inside = stop % _REANCHOR != 0
+    np.add.at(diff, (stop[inside, None], cols[inside]), -values[inside])
+
+
+def _group_sums(sums: np.ndarray, starts: np.ndarray, axis: int) -> np.ndarray:
+    """``sums`` summed over the runs that begin at ``starts`` along ``axis``;
+    runs of one are common, and cost reduceat more than they save."""
+    if starts.size == sums.shape[axis]:
+        return sums
+    return np.add.reduceat(sums, starts, axis=axis)
+
+
+def _batches(offsets: np.ndarray, partners: np.ndarray):
+    """Yield (i0, i1, j): the row classes i0 .. i1 - 1 and the column
+    classes i0 .. j - 1 of one block.
+
+    ``offsets`` are the classes' first keys and class i overlaps the
+    classes i .. partners[i] - 1 from i on. A batch grows while its rows
+    times its columns stay within ``_BATCH_ELEMENTS``.
+    """
+    # memoryviews read Python ints without a list of every class
+    off, ends = memoryview(offsets), memoryview(partners)
+    i0 = 0
+    while i0 < len(ends):
+        j, i1 = ends[i0], i0 + 1
+        while i1 < len(ends):
+            j1 = max(j, ends[i1])
+            if (off[i1 + 1] - off[i0]) * (off[j1] - off[i0]) > _BATCH_ELEMENTS:
+                break
+            j, i1 = j1, i1 + 1
+        yield i0, i1, j
+        i0 = i1
+
+
+#: row-chunk size cap of a block, which keeps the five work buffers in the
+#: CPU caches
+_PAIR_BLOCK_ELEMENTS = 1 << 16
+
+#: classes are paired in batches of about this many pair evaluations, so
+#: that small classes share their per-block overhead
+_BATCH_ELEMENTS = 1 << 14
+
+#: windows per segment of the difference arrays' cumulative sums: every
+#: segment sums from zero, which bounds the rounding drift
 _REANCHOR = 64
+
+# the four float sums per (window, observer) in the difference array
+_A_OFF, _V_ROW, _V_SELF, _MASS = range(4)
+
+
+class _PairSums:
+    """Kernel values and kernel correlations between pixel keys, summed
+    block by block in work buffers that every block reuses."""
+
+    #: work buffer types: two index grids, two value grids and the mask of
+    #: pairs of one observer
+    WORK = (np.int64, np.int64, float, float, bool)
+
+    def __init__(self, kernel, width: int, height: int, xs, ys, obs):
+        k1, r = kernel.weights_1d, kernel.radius_px
+        self.kval = np.zeros(max(width, height))
+        reach = min(r + 1, self.kval.size)
+        self.kval[:reach] = k1[r:r + reach]
+        # flat corr tables: row d, column m sits at d * length + m
+        self.corr_x = _corr_table(k1, r, width).ravel()
+        self.corr_y = _corr_table(k1, r, height).ravel()
+        self.zero_row = 2 * r + 1  # index of the padding row in the corr tables
+        self.width, self.height = width, height
+        self.xs, self.ys, self.obs = xs, ys, obs
+        self.work = [np.empty(0, dtype) for dtype in self.WORK]
+
+    def block(self, r0: int, r1: int, c1: int, row_cls, col_cls):
+        """Sums over the pairs of the row keys r0 .. r1 and the column keys
+        r0 .. c1; ``row_cls`` and ``col_cls`` are the class starts among
+        them, relative to r0.
+
+        Returns (by_row, by_col). Per row key and column class, by_row
+        holds the kernel values over the keys of other observers, the
+        kernel correlations, and the correlations over the keys of the row
+        key's own observer. Per row class and column key, by_col holds the
+        first two.
+        """
+        xs, ys, obs = self.xs, self.ys, self.obs
+        qx, qy, qo = xs[r0:c1], ys[r0:c1], obs[r0:c1]
+        by_row = np.empty((3, r1 - r0, col_cls.size))
+        by_col = np.zeros((2, row_cls.size, c1 - r0))
+        step = max(1, _PAIR_BLOCK_ELEMENTS // (c1 - r0))
+        for b0 in range(0, r1 - r0, step):
+            b1 = min(r1 - r0, b0 + step)
+            size = (b1 - b0) * (c1 - r0)
+            if self.work[0].size < size:
+                self.work.clear()  # the smaller buffers go before larger ones come
+                self.work.extend(np.empty(size, dtype) for dtype in self.WORK)
+            dx, dy, vals, tmp, own = (w[:size].reshape(b1 - b0, -1) for w in self.work)
+            px, py = xs[r0 + b0:r0 + b1, None], ys[r0 + b0:r0 + b1, None]
+            # the row classes in this chunk of rows; the first may go on
+            # from the previous chunk
+            k0 = np.searchsorted(row_cls, b0, side="right") - 1
+            k1 = np.searchsorted(row_cls, b1)
+            starts = np.maximum(row_cls[k0:k1], b0) - b0
+
+            np.equal(obs[r0 + b0:r0 + b1, None], qo, out=own)
+            np.abs(np.subtract(px, qx, out=dx), out=dx)
+            np.abs(np.subtract(py, qy, out=dy), out=dy)
+            # take(mode="clip") fills out= without a buffer; every index is
+            # in range
+            np.take(self.kval, dx, out=vals, mode="clip")
+            vals *= np.take(self.kval, dy, out=tmp, mode="clip")
+            np.copyto(vals, 0.0, where=own)
+            np.add.reduceat(vals, col_cls, axis=1, out=by_row[0, b0:b1])
+            by_col[0, k0:k1] += np.add.reduceat(vals, starts, axis=0)
+
+            tie = tmp.view(np.int64)  # free until the next take
+            np.minimum(dx, self.zero_row, out=dx)
+            dx *= self.width
+            dx += np.minimum(px, qx, out=tie)
+            np.minimum(dy, self.zero_row, out=dy)
+            dy *= self.height
+            dy += np.minimum(py, qy, out=tie)
+            np.take(self.corr_x, dx, out=vals, mode="clip")
+            vals *= np.take(self.corr_y, dy, out=tmp, mode="clip")
+            np.add.reduceat(vals, col_cls, axis=1, out=by_row[1, b0:b1])
+            by_col[1, k0:k1] += np.add.reduceat(vals, starts, axis=0)
+            np.add.reduceat(np.multiply(vals, own, out=tmp), col_cls, axis=1,
+                            out=by_row[2, b0:b1])
+        return by_row, by_col
 
 
 def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
@@ -177,109 +353,124 @@ def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
     n = cfg.n
     if n > total_frames:
         raise InputError(f"window of {n} frames is longer than the clip ({total_frames} frames)")
+    counts, sums = _window_sums(fixations, n, make_kernel(cfg.sigma_px, cfg.truncation))
+    return IocSeries(fixations.clip_id, n, _scores(counts, sums, width * height))
 
-    kernel = make_kernel(cfg.sigma_px, cfg.truncation)
-    k1 = kernel.weights_1d
-    r = kernel.radius_px
-    kval = np.zeros(max(width, height), dtype=float)
-    reach = min(r + 1, kval.size)
-    kval[:reach] = k1[r:r + reach]
-    mass_x = _border_mass(k1, r, width)
-    mass_y = _border_mass(k1, r, height)
-    # flat corr tables: row d, column m sits at d * length + m
-    corr_x = _corr_table(k1, r, width).ravel()
-    corr_y = _corr_table(k1, r, height).ravel()
-    zero_row = 2 * r + 1  # index of the padding row in the corr tables
-    n_pixels = width * height
 
-    def pair_sums(p_keys, q_keys):
-        """(A, V) with A[a, b] the sum of kernel values and V[a, b] the sum
-        of kernel correlations over pairs (p, q), p in p_keys of observer a,
-        q in q_keys of observer b. Both key arrays are sorted."""
-        a_sums = np.zeros((n_obs, n_obs))
-        v_sums = np.zeros((n_obs, n_obs))
-        if not (p_keys.size and q_keys.size):
-            return a_sums, v_sums
-        p_obs, p_pix = np.divmod(p_keys, n_pixels)
-        q_obs, q_pix = np.divmod(q_keys, n_pixels)
-        py, px = np.divmod(p_pix, width)
-        qy, qx = np.divmod(q_pix, width)
-        p_present, p_starts = np.unique(p_obs, return_index=True)
-        q_present, q_starts = np.unique(q_obs, return_index=True)
-        rows_a = np.empty((p_keys.size, q_present.size))
-        rows_v = np.empty((p_keys.size, q_present.size))
-        block = max(1, _PAIR_BLOCK_ELEMENTS // q_keys.size)
-        for b0 in range(0, p_keys.size, block):
-            b1 = min(p_keys.size, b0 + block)
-            dx = np.abs(px[b0:b1, None] - qx[None, :])
-            dy = np.abs(py[b0:b1, None] - qy[None, :])
-            rows_a[b0:b1] = np.add.reduceat(kval[dx] * kval[dy], q_starts, axis=1)
-            np.minimum(dx, zero_row, out=dx)
-            np.minimum(dy, zero_row, out=dy)
-            dx *= width
-            dx += np.minimum(px[b0:b1, None], qx[None, :])
-            dy *= height
-            dy += np.minimum(py[b0:b1, None], qy[None, :])
-            rows_v[b0:b1] = np.add.reduceat(corr_x[dx] * corr_y[dy], q_starts, axis=1)
-        cells = np.ix_(p_present, q_present)
-        a_sums[cells] = np.add.reduceat(rows_a, p_starts, axis=0)
-        v_sums[cells] = np.add.reduceat(rows_v, p_starts, axis=0)
-        return a_sums, v_sums
+def _window_sums(fixations: CleanedFixations, n: int, kernel) -> tuple:
+    """Per window and observer, the count of keys (windows x observers)
+    and four sums (windows x 4 x observers): kernel values between the
+    observer's keys and other observers' keys, kernel correlations between
+    the observer's keys and all keys, and between the observer's own keys,
+    and the border-clipped kernel mass of the observer's keys."""
+    width, height = fixations.width, fixations.height
+    n_obs = len(fixations.observers())
+    windows = fixations.frame_count - n + 1
 
-    frames, keys = _window_keys(fixations, width, height)
-    window_starts = np.arange(total_frames - n + 1)
-    lo_idx = np.searchsorted(frames, window_starts, side="left")
-    hi_idx = np.searchsorted(frames, window_starts + n, side="left")
+    # presence intervals, sorted into classes of equal (start, end) and,
+    # inside a class, by key: so by observer
+    key, start, end = _presence(*_window_keys(fixations, width, height), n,
+                                fixations.frame_count)
+    # per-key arrays go as soon as they are used, and the pair loop keeps
+    # int32 ones: they set the peak memory on a long sparse clip
+    order = np.lexsort((key, end, start))
+    start, end = start[order], end[order]
+    obs, pix = np.divmod(key[order], width * height)
+    del key, order
+    obs = obs.astype(np.int32)
+    ys, xs = (v.astype(np.int32) for v in np.divmod(pix, width))
+    del pix
+    new_class = np.ones(start.size, dtype=bool)
+    new_class[1:] = (start[1:] != start[:-1]) | (end[1:] != end[:-1])
+    cls_off = np.append(np.flatnonzero(new_class), start.size)
+    cls_start, cls_end = start[cls_off[:-1]], end[cls_off[:-1]]
+    del start, end  # from here on, a key's span is its class's
+    # groups: runs of one observer inside one class
+    new_group = new_class
+    new_group[1:] |= obs[1:] != obs[:-1]
+    grp_off = np.append(np.flatnonzero(new_group), obs.size)
+    grp_obs = obs[grp_off[:-1]]
+    grp_cls = np.searchsorted(cls_off, grp_off[:-1], side="right") - 1
+    cls_grp = np.searchsorted(grp_off, cls_off)
+    del new_class, new_group
+    k1, r = kernel.weights_1d, kernel.radius_px
+    mass_x, mass_y = _border_mass(k1, r, width), _border_mass(k1, r, height)
 
-    values = []
-    prev = keys[:0]
-    since_anchor = _REANCHOR
-    for t in range(window_starts.size):
-        cur = np.unique(keys[lo_idx[t]:hi_idx[t]])
-        gone = np.setdiff1d(prev, cur, assume_unique=True)
-        came = np.setdiff1d(cur, prev, assume_unique=True)
-        step_pairs = gone.size * (prev.size + gone.size) + came.size * (cur.size + came.size)
-        if since_anchor >= _REANCHOR or step_pairs >= cur.size * cur.size:
-            a_sums, v_sums = pair_sums(cur, cur)
-            since_anchor = 0
-        else:
-            # the pairs of S that touch D (gone from S, or came into it)
-            # are X + X.T - Y, X over D x S and Y over D x D: X and X.T
-            # both hold the pairs inside D
-            for delta, window, sign in ((gone, prev, -1.0), (came, cur, 1.0)):
-                x_a, x_v = pair_sums(delta, window)
-                y_a, y_v = pair_sums(delta, delta)
-                a_sums += sign * (x_a + x_a.T - y_a)
-                v_sums += sign * (x_v + x_v.T - y_v)
-        since_anchor += 1
-        prev = cur
+    pairs = _PairSums(kernel, width, height, xs, ys, obs)
+    row_parts = np.array([_A_OFF, _V_ROW, _V_SELF]) * n_obs
+    col_parts = np.array([_A_OFF, _V_ROW]) * n_obs
+    counts = np.zeros((windows + 1, n_obs), dtype=np.int64)
+    segments = -(-windows // _REANCHOR)
+    diff = np.zeros((segments * _REANCHOR, 4 * n_obs))
+    for i0, i1, j in _batches(cls_off, np.searchsorted(cls_start, cls_end, side="right")):
+        r0, r1, c1 = cls_off[i0], cls_off[i1], cls_off[j]
+        g0, g_rows, g1 = cls_grp[i0], cls_grp[i1], cls_grp[j]
+        # the row groups' key counts and masses over their classes' spans
+        lo, hi = cls_start[grp_cls[g0:g_rows]], cls_end[grp_cls[g0:g_rows]]
+        group = grp_obs[g0:g_rows]
+        size = np.diff(grp_off[g0:g_rows + 1])
+        np.add.at(counts, (lo, group), size)
+        np.add.at(counts, (hi + 1, group), -size)
+        _add_spans(diff, lo, hi, (_MASS * n_obs + group)[:, None],
+                   np.add.reduceat(mass_x[xs[r0:r1]] * mass_y[ys[r0:r1]],
+                                   grp_off[g0:g_rows] - r0)[:, None])
+        by_row, by_col = pairs.block(r0, r1, c1, cls_off[i0:i1] - r0, cls_off[i0:j] - r0)
+        # per observer group: rows of by_row, columns of by_col
+        by_row = _group_sums(by_row, grp_off[g0:g_rows] - r0, axis=1)
+        by_col = _group_sums(by_col, grp_off[g0:g1] - r0, axis=2)
+        # a (row class, column class) pair counts once, from the earlier
+        # class and over the windows where both are present; for two
+        # distinct classes the column side holds the mirrored pairs (q, p)
+        row_cls = np.arange(i0, i1)[:, None]
+        col_cls = np.arange(i0, j)[None, :]
+        live = (col_cls >= row_cls) & (cls_start[col_cls] <= cls_end[row_cls])
+        rg, cc = np.nonzero(live[grp_cls[g0:g_rows] - i0])
+        values = by_row[:, rg, cc]
+        cc += i0
+        rc = grp_cls[g0 + rg]
+        # an own-observer pair of two distinct classes also comes mirrored
+        values[2] *= np.where(cc > rc, 2.0, 1.0)
+        _add_spans(diff, cls_start[cc], np.minimum(cls_end[rc], cls_end[cc]),
+                   row_parts + grp_obs[g0 + rg, None], values.T)
+        rc, cg = np.nonzero((live & (col_cls > row_cls))[:, grp_cls[g0:g1] - i0])
+        values = by_col[:, rc, cg]
+        rc += i0
+        cc = grp_cls[g0 + cg]
+        _add_spans(diff, cls_start[cc], np.minimum(cls_end[rc], cls_end[cc]),
+                   col_parts + grp_obs[g0 + cg, None], values.T)
 
-        obs, pix = np.divmod(cur, n_pixels)
-        counts = np.bincount(obs, minlength=n_obs)
-        active = np.flatnonzero(counts)
-        if active.size < 2:
-            values.append((t, None))
-            continue
-        ys, xs = np.divmod(pix, width)
-        mass_per = np.bincount(obs, weights=mass_x[xs] * mass_y[ys], minlength=n_obs)
-        mass_tot = float(mass_per.sum())
-        v_tot = float(v_sums.sum())
-        v_row = v_sums.sum(axis=1)
-        a_row = a_sums.sum(axis=1)
+    np.cumsum(counts, axis=0, out=counts)
+    by_segment = diff.reshape(segments, _REANCHOR, 4 * n_obs)
+    np.cumsum(by_segment, axis=1, out=by_segment)
+    return counts[:windows], diff[:windows].reshape(windows, 4, n_obs)
 
-        scores = []
-        for a in active:
-            if cur.size - counts[a] == 0:
-                continue  # nobody left to build the map from
-            mu = (mass_tot - float(mass_per[a])) / n_pixels
-            second = (v_tot - 2.0 * float(v_row[a]) + float(v_sums[a, a])) / n_pixels
-            var = second - mu * mu
-            if var <= 0.0:
-                continue  # the leave-one-out map is constant
-            s_at_fix = (float(a_row[a]) - float(a_sums[a, a])) / int(counts[a])
-            scores.append((s_at_fix - mu) / math.sqrt(var))
-        values.append((t, sum(scores) / len(scores) if scores else None))
-    return IocSeries(fixations.clip_id, n, values)
+
+def _scores(counts: np.ndarray, sums: np.ndarray, n_pixels: int) -> list:
+    """(window, score or None) for every window, from ``_window_sums``."""
+    present = counts > 0
+    # an absent observer's sums are 0 up to the rounding of the cumulative sums
+    sums *= present[:, None, :]
+    a_off, v_row, v_self, mass = sums.transpose(1, 0, 2)
+    mu = mass.sum(axis=1)[:, None] - mass
+    mu /= n_pixels
+    var = v_row.sum(axis=1)[:, None] - 2.0 * v_row
+    var += v_self
+    var /= n_pixels
+    var -= mu * mu
+    # an observer scores when present, with another observer present to
+    # build the map from, and a leave-one-out map that is not constant
+    scored = present & (var > 0.0) & (present.sum(axis=1) >= 2)[:, None]
+    z = a_off / np.maximum(counts, 1)
+    z -= mu
+    z /= np.sqrt(np.where(scored, var, 1.0))
+    # the mean over observers adds them in observer order, as sum() would
+    total = np.zeros(len(counts))
+    for o in range(counts.shape[1]):
+        total += np.where(scored[:, o], z[:, o], 0.0)
+    n_scored = scored.sum(axis=1)
+    mean = total / np.maximum(n_scored, 1)
+    return [(t, m if k else None)
+            for t, (m, k) in enumerate(zip(mean.tolist(), n_scored.tolist()))]
 
 
 def sequence_ioc_summary(series: IocSeries) -> IocSummary:
@@ -342,20 +533,25 @@ def cut_drop_analysis(series: IocSeries, cuts: Sequence[int],
     return records
 
 
-def write_ioc_series(series: IocSeries, path, meta: Optional[dict] = None) -> None:
-    """Persist a series as delimited text: clip_id, window_start, n, score.
-
-    Absent scores serialize as an empty field. Estimator policy decisions,
-    the tool version and a hash of the whole header are always echoed in
-    the header.
-    """
+def series_header(meta: Optional[dict] = None) -> dict:
+    """A series file's header: the estimator policy decisions, the tool
+    version, ``meta`` as text and a hash of all of them."""
     header = dict(SERIES_POLICY, tool_version=__version__)
     if meta:
         header.update({str(k): str(v) for k, v in meta.items()})
     header["config_hash"] = config_hash(header)
+    return dict(sorted(header.items()))
+
+
+def write_ioc_series(series: IocSeries, path, meta: Optional[dict] = None) -> None:
+    """Persist a series as delimited text: clip_id, window_start, n, score.
+
+    Absent scores serialize as an empty field. The header is
+    ``series_header(meta)``.
+    """
     write_table(path, SERIES_COLUMNS,
                 ((series.clip_id, start, series.n, score) for start, score in series.values),
-                meta=dict(sorted(header.items())))
+                meta=series_header(meta))
 
 
 def read_ioc_series(path) -> IocSeries:

@@ -63,6 +63,13 @@ def _paired(p, q):
     return pv, qv
 
 
+def _nonnegative(pv: np.ndarray, qv: np.ndarray, name: str) -> tuple:
+    """(pv, qv), or InputError when either map has a negative value."""
+    if (pv < 0).any() or (qv < 0).any():
+        raise InputError(f"{name} requires non-negative maps")
+    return pv, qv
+
+
 def _fixated(f: FixationMap, shape) -> np.ndarray:
     """Row-major sorted flat positions y * width + x of the fixated pixels."""
     if (f.height, f.width) != shape:
@@ -225,9 +232,9 @@ def cc(p, q) -> float:
 def sim(p, q) -> float:
     """Histogram intersection: sum of pixelwise minima of unit-sum maps.
 
-    Both maps must be non-negative.
+    Both maps must be non-negative: a negative value is an InputError.
     """
-    pv, qv = _paired(p, q)
+    pv, qv = _nonnegative(*_paired(p, q), "sim")
     return _sim(*_normalized(pv, *_support(qv), "sim"))
 
 
@@ -262,11 +269,11 @@ def auc_borji(s, f: FixationMap, negatives_per_fixation: int = 1,
 def kld(p, q, epsilon: float = KLD_EPSILON) -> float:
     """Kullback-Leibler divergence of ground truth Q from prediction P.
 
-    Both maps must be non-negative. They are normalized to unit sum;
-    epsilon regularizes P inside the logarithm so empty predicted regions
-    stay finite. 0 * log(0/.) is 0.
+    Both maps must be non-negative (a negative value is an InputError).
+    They are normalized to unit sum; epsilon regularizes P inside the
+    logarithm so empty predicted regions stay finite. 0 * log(0/.) is 0.
     """
-    pv, qv = _paired(p, q)
+    pv, qv = _nonnegative(*_paired(p, q), "kld")
     return _kld(*_normalized(pv, *_support(qv), "kld"), epsilon)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cinegaze import __version__
 from cinegaze.cli import build_parser, main
 from cinegaze.core import ClipMeta, frame_to_display
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
@@ -156,6 +157,10 @@ class TestPipeline:
         assert len(present) == len(series.values)  # every window scorable here
         summary = json.loads((out / "ioc_summary.json").read_text())
         assert summary["mean"] > 0
+        # the summary carries the series header's provenance
+        header = read_meta(out / "ioc_series.csv")
+        assert summary["tool_version"] == header["tool_version"] == __version__
+        assert summary["config_hash"] == header["config_hash"]
 
     def test_cut_drop_rows(self, out):
         lines = (out / "cut_drop.csv").read_text().splitlines()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.ingest import CleanedFixations, build_fixation_map
 from cinegaze.ioc import (_REANCHOR, SERIES_COLUMNS, IocConfig, IocSeries,
-                          cut_drop_analysis, loo_window_ioc, read_ioc_series,
-                          sequence_ioc_summary, write_ioc_series)
+                          _presence, _window_keys, cut_drop_analysis, loo_window_ioc,
+                          read_ioc_series, sequence_ioc_summary, write_ioc_series)
 from cinegaze.metrics import nss
 from cinegaze.saliency import blur_fixations, make_kernel
 from cinegaze.tables import read_table
@@ -195,13 +197,13 @@ class TestLooWindowIoc:
             loo_window_ioc(fix, meta_for_dims(fix), IocConfig(n=5, sigma_px=1.0))
 
     def test_sliding_window_equals_single_window_recomputation(self):
-        # the series slides its pair sums from window to window and
-        # rebuilds them every _REANCHOR windows (and at every window for
-        # n=1, where sliding costs more); each score must equal the same
-        # window scored on its own. A small grid makes pixels repeat
-        # within and across observers' windows, observer o5 is silent for
-        # longer than a window, and later only o0 looks, long enough for
-        # windows with an absent score.
+        # the series sums each pair once over the windows where both keys
+        # are present, in cumulative sums that restart every _REANCHOR
+        # windows; each score must equal the same window scored on its
+        # own. A small grid makes pixels repeat within and across
+        # observers' windows, observer o5 is silent for longer than a
+        # window, and later only o0 looks, long enough for windows with an
+        # absent score.
         w, h, frames = 64, 48, 2 * _REANCHOR + 20
         rng = np.random.default_rng(5)
         by_obs = {}
@@ -229,6 +231,96 @@ class TestLooWindowIoc:
                     assert score is None, t
                 else:
                     assert score == pytest.approx(ref, abs=1e-9), (n, t)
+
+    def test_long_clip_sampled_windows_equal_single_window_recomputation(self):
+        # about 1,000 frames: held fixations give keys long and merged
+        # presence intervals, o3 is silent for longer than any window, and
+        # a stretch where only o0 looks leaves absent windows. Every 50th
+        # window and both windows around each _REANCHOR segment boundary
+        # must equal the window scored on its own.
+        w, h, frames = 40, 30, 1000
+        rng = np.random.default_rng(11)
+        by_obs = {}
+        for i in range(5):
+            by_obs[f"o{i}"] = {}
+            held = 0
+            for t in range(frames):
+                if (i == 3 and 300 <= t < 330) or (i > 0 and 600 <= t < 625):
+                    continue
+                if held == 0:  # a new fixation, held for 1 to 12 frames
+                    center = rng.uniform((4, 4), (w - 5, h - 5))
+                    held = int(rng.integers(1, 13))
+                held -= 1
+                pts = np.clip(center + rng.normal(0, 1.0, (2, 2)), 0, (w - 1, h - 1))
+                by_obs[f"o{i}"][t] = [(float(x), float(y)) for x, y in pts]
+        fix = cleaned_from(by_obs, frames, w, h)
+        for n in (1, 7, 20):
+            cfg = IocConfig(n=n, sigma_px=2.0)
+            series = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+            windows = frames - n + 1
+            assert len(series.values) == windows
+            assert any(score is None for _, score in series.values)
+            sample = set(range(0, windows, 50))
+            for boundary in range(_REANCHOR, windows, _REANCHOR):
+                sample |= {boundary - 1, boundary}
+            for t in sorted(sample):
+                window = {o: {f - t: fr[f] for f in range(t, t + n) if f in fr}
+                          for o, fr in by_obs.items()}
+                alone = cleaned_from(window, n, w, h)
+                (_, ref), = loo_window_ioc(alone, meta_for_dims(alone), cfg).values
+                score = series.values[t][1]
+                if ref is None:
+                    assert score is None, (n, t)
+                else:
+                    assert score == pytest.approx(ref, abs=1e-9), (n, t)
+
+    @pytest.mark.parametrize("gap, intervals", [(4, 1), (5, 2)])
+    def test_presence_intervals_merge_at_most_n_frames_apart(self, gap, intervals):
+        # with n = 4, pixel (5, 5) of observer a seen on frames 3 and
+        # 3 + gap: 4 frames apart no window lies between the two sightings
+        # and they share one presence interval, 5 frames apart window 4
+        # holds neither and they are two
+        n, frames = 4, 16
+        by_obs = {
+            "a": {3: [(5.0, 5.0)], 3 + gap: [(5.0, 5.0)], 10: [(8.0, 4.0)]},
+            "b": {t: [(6.0, 5.0)] for t in range(0, frames, 2)},
+            "c": {t: [(4.0, 6.0 + t % 3)] for t in range(1, frames)},
+        }
+        fix = cleaned_from(by_obs, frames, 12, 10)
+        frames_of, keys = _window_keys(fix, fix.width, fix.height)
+        key, start, end = _presence(frames_of, keys, n, frames)
+        pixel = 0 * 12 * 10 + 5 * 12 + 5  # observer a, the first, at (5, 5)
+        assert (key == pixel).sum() == intervals
+        cfg = IocConfig(n=n, sigma_px=1.5)
+        fast = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+        ref = naive_loo_window_ioc(fix, n, 1.5, cfg.truncation)
+        for (t1, v1), (t2, v2) in zip(fast.values, ref):
+            assert t1 == t2
+            if v2 is None:
+                assert v1 is None
+            else:
+                assert v1 == pytest.approx(v2, abs=1e-9)
+
+    def test_peak_memory_within_the_sliding_estimator_s(self):
+        # the per-window pair sums go into difference arrays as each block
+        # is summed, so memory stays bounded by the blocks, not by the
+        # clip. The ceiling is the tracemalloc peak of the earlier
+        # estimator that slid its pair sums from window to window,
+        # measured once on this clip: 3,966,273 bytes. Holding every
+        # block's sums until the end takes tens of MB here.
+        fx = ScanpathFixture(seed=7, n_observers=15, frame_count=2000, width=320,
+                             height=200, congruency=0.8, cluster_sigma=6.0,
+                             cut_frames=tuple(range(100, 2000, 100)),
+                             reconvergence_lag=5, clip_id="long")
+        fix = generate_scanpaths(fx)
+        tracemalloc.start()
+        try:
+            series = loo_window_ioc(fix, meta_for(fx), IocConfig(n=20, sigma_px=8.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series.values) == 2000 - 20 + 1
+        assert peak <= 3_966_273, peak
 
 
 def meta_for_dims(fix):

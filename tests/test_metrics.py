@@ -78,6 +78,14 @@ class TestSIM:
         p, q = rng.random((8, 8)) + 0.01, rng.random((8, 8)) + 0.01
         assert sim(p, q) == pytest.approx(sim(q, p), abs=1e-14)
 
+    def test_negative_value_rejected(self):
+        # SIM is defined on distributions; a negative pixel used to give
+        # a silent 0.357 here
+        negative = np.array([[0.5, -0.1], [0.3, 0.0]])
+        for p, q in ((np.ones((2, 2)), negative), (negative, np.ones((2, 2)))):
+            with pytest.raises(InputError):
+                sim(p, q)
+
 
 class TestNSS:
     def test_three_pixel_hand_computation(self):
@@ -191,6 +199,14 @@ class TestKLD:
     def test_zero_sum_rejected(self, rng):
         with pytest.raises(InputError):
             kld(np.zeros((4, 4)), rng.random((4, 4)))
+
+    def test_negative_value_rejected(self):
+        # a negative ground-truth pixel used to give NaN with a numpy
+        # RuntimeWarning
+        negative = np.array([[0.5, -0.1], [0.3, 0.0]])
+        for p, q in ((np.ones((2, 2)), negative), (negative, np.ones((2, 2)))):
+            with pytest.raises(InputError):
+                kld(p, q)
 
 
 class TestSharedProperties:
