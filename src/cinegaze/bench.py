@@ -84,13 +84,18 @@ def _prediction_map(predictions, frame: int, shape: tuple) -> np.ndarray:
     """The frame's prediction on the ground-truth grid, clamped at zero.
 
     It is checked once, on its native grid: resampling and clamping a
-    finite map cannot make it non-finite or negative.
+    finite map cannot make it non-finite or negative. A map without a
+    negative value or a -0.0 is not clamped at all: bilinear blends of
+    such values have neither, and the clamp would return them unchanged.
     """
     pred = finite_grid(_load_prediction(predictions, frame))
+    signed = bool(np.signbit(pred).any())
     if pred.shape == shape:
-        return np.maximum(pred, 0.0)  # the loader's array may be the caller's
+        # the loader's array may be the caller's; scoring never writes to it
+        return np.maximum(pred, 0.0) if signed else pred
     pred = resize_bilinear(pred, shape[1], shape[0])
-    np.maximum(pred, 0.0, out=pred)  # the resize's own fresh grid
+    if signed:
+        np.maximum(pred, 0.0, out=pred)  # the resize's own fresh grid
     return pred
 
 

@@ -27,6 +27,7 @@ import operator
 import sys
 from pathlib import Path
 
+from . import __version__
 from .annotations import (PartitionKind, cuts_of, labels, parse_annotations,
                           shot_stats)
 from .bench import (DirectoryPredictions, ReportFormat, aggregate_by_annotation,
@@ -43,7 +44,7 @@ from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
 from .metrics import Metric
 from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
-from .tables import read_meta, read_table, write_json, write_table
+from .tables import config_hash, read_meta, read_table, write_json, write_table
 
 #: setting -> (default, *bounds); a bound is (comparison, limit)
 DEFAULTS = {
@@ -128,6 +129,13 @@ def _load_frames_file(path) -> dict:
 def _load_meta(path) -> ClipMeta:
     with open(path) as f:
         return ClipMeta.from_dict(json.load(f))
+
+
+def _provenance(echo: dict) -> dict:
+    """A JSON output's ``tool_version`` and ``config_hash``: the hash of the
+    tool version and ``echo`` as text, as a report header hashes them."""
+    header = {"tool_version": __version__, **{str(k): str(v) for k, v in echo.items()}}
+    return {"tool_version": __version__, "config_hash": config_hash(header)}
 
 
 def cmd_ingest(args):
@@ -280,8 +288,8 @@ def cmd_stats(args):
         # one cell per row when both flags name the same column
         xs, ys = [row[0] for row in rows], [row[-1] for row in rows]
         r, p = pearson(xs, ys)
-        out = {"test": "pearson", "x": args.x_col, "y": args.y_col,
-               "n": len(xs), "r": r, "p": p}
+        echo = {"test": "pearson", "x": args.x_col, "y": args.y_col}
+        out = {**echo, "n": len(xs), "r": r, "p": p}
     else:
         if not (args.scores and args.metric and args.partition):
             raise InputError("stats needs --scores/--metric/--partition or --pairs")
@@ -299,12 +307,12 @@ def cmd_stats(args):
             for b in names[i + 1:]:
                 t, p = welch_t_test(usable[a], usable[b])
                 pairwise[f"{a}|{b}"] = {"t": t, "p": p}
-        out = {"test": "one_way_anova", "metric": args.metric,
-               "partition": kind.value, "f": res.f, "p": res.p,
+        echo = {"test": "one_way_anova", "metric": args.metric, "partition": kind.value}
+        out = {**echo, "f": res.f, "p": res.p,
                "df_between": res.df_between, "df_within": res.df_within,
                "group_sizes": dict(zip(res.group_names, res.group_sizes)),
                "pairwise_welch": pairwise}
-    write_json(args.out, out)
+    write_json(args.out, {**out, **_provenance(echo)})
     print(f"stats -> {args.out}")
     return 0
 
@@ -316,7 +324,8 @@ def cmd_report(args):
         prior = SaliencyMap(read_map(args.prior))
         record = bias_report(avg, prior)
         write_json(args.out, {"cc_with_prior": record.cc_with_prior,
-                              "peak_offset_px": list(record.peak_offset_px)})
+                              "peak_offset_px": list(record.peak_offset_px),
+                              **_provenance({"report": "bias"})})
     elif args.shot_stats:
         stats_rows = []
         for path in sorted(Path(args.shot_stats).glob("*.json")):

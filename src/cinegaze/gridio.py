@@ -13,6 +13,7 @@ Two formats are supported:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -99,6 +100,9 @@ def read_pgm16(path) -> np.ndarray:
         raise FormatError(f"{path}: malformed PGM header") from exc
     if fields[0] != b"P5":
         raise FormatError(f"{path}: not a binary graymap (magic {fields[0]!r})")
+    if not all(x.isdigit() and int(x) > 0 for x in fields[1:]):
+        raise FormatError(f"{path}: PGM header fields must be positive integers, "
+                          f"got {b' '.join(fields[1:])!r}")
     w, h, maxval = (int(x) for x in fields[1:])
     if maxval != PGM_MAXVAL:
         raise FormatError(f"{path}: expected 16-bit maxval, got {maxval}")
@@ -108,11 +112,27 @@ def read_pgm16(path) -> np.ndarray:
     grid = raw.reshape(h, w).astype(float)
     sidecar_path = Path(str(path) + ".json")
     if sidecar_path.exists():
-        with open(sidecar_path) as f:
-            scale = float(json.load(f)["scale"])
-        if scale != 0:
-            grid /= scale
+        grid /= _sidecar_scale(sidecar_path)
     return grid
+
+
+def _sidecar_scale(path) -> float:
+    """The ``scale`` of a PGM sidecar; FormatError unless the file is a
+    JSON object whose ``scale`` is a finite, positive number."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError as exc:
+        raise FormatError(f"{path}: sidecar is not JSON ({exc})") from None
+    scale = doc.get("scale") if isinstance(doc, dict) else None
+    try:
+        value = float(scale) if type(scale) in (int, float) else math.nan  # not bool
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise FormatError(f"{path}: sidecar needs a finite, positive number "
+                          f"'scale', got {scale!r}")
+    return value
 
 
 def read_map(path) -> np.ndarray:

@@ -91,10 +91,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def _centered(v: np.ndarray) -> tuple:
-    """(v - mean, sum of squared deviations)."""
-    d = v - v.mean()
-    return d, _dot(d, d)
+def _mass(v: np.ndarray) -> float:
+    """The sum of ``v``; divided by ``v.size`` it is ``v.mean()`` bit for bit."""
+    return float(v.sum())
+
+
+def _squares(v: np.ndarray, mean: float) -> float:
+    """Sum of the squared deviations of ``v`` from ``mean``."""
+    d = v - mean
+    return _dot(d, d)
 
 
 def _support(q: np.ndarray) -> tuple:
@@ -105,21 +110,23 @@ def _support(q: np.ndarray) -> tuple:
     return on, qs, float(qs.sum())
 
 
-def _cc(dp, ssp: float, on, qs, q_sum: float) -> float:
-    """CC from the prediction's deviations ``dp`` and the ground truth on
-    its support ``on``."""
-    mq = q_sum / dp.size
+def _cc(ps, mean: float, ssp: float, n: int, qs, q_sum: float) -> float:
+    """CC from the prediction on the ground truth's support ``ps``, its
+    mean and its sum of squared deviations over all ``n`` pixels, and the
+    ground truth on its support."""
+    mq = q_sum / n
     dq = qs - mq
     # each of the pixels off the support deviates by -mq
-    ssq = _dot(dq, dq) + (dp.size - qs.size) * mq * mq
+    ssq = _dot(dq, dq) + (n - qs.size) * mq * mq
     del dq
     sp, sq = math.sqrt(ssp), math.sqrt(ssq)
     if sp == 0.0 and sq == 0.0:
         raise UndefinedValueError("cc undefined: both maps are constant")
     if sp == 0.0 or sq == 0.0:
         return 0.0
-    # sum(dp * (q - mq)) = sum(dp * q), as sum(dp) = 0; q is 0 off the support
-    r = _dot(dp[on], qs) / (sp * sq)
+    # sum((p - mp) * (q - mq)) = sum((p - mp) * q), as p's deviations sum
+    # to 0; q is 0 off the support
+    r = _dot(ps - mean, qs) / (sp * sq)
     return min(1.0, max(-1.0, r))
 
 
@@ -132,15 +139,14 @@ def _nss(fixated_deviations: np.ndarray, ss: float, n: int) -> float:
     return float((fixated_deviations / sd).mean())
 
 
-def _normalized(pv, on, qs, q_sum: float, name: str) -> tuple:
-    """Both maps on the ground truth's support ``on``, each scaled by its
-    total mass; InputError unless both masses are positive."""
-    p_sum = float(pv.sum())
+def _unit(ps, p_sum: float, qs, q_sum: float, name: str) -> tuple:
+    """Both maps on the ground truth's support, each divided by its total
+    mass; the prediction ``ps`` in place. InputError, with ``ps``
+    untouched, unless both masses are positive."""
     if p_sum <= 0 or q_sum <= 0:
         raise InputError(f"{name} requires maps with positive total mass")
-    pn = pv[on]
-    pn /= p_sum
-    return pn, qs / q_sum
+    ps /= p_sum
+    return ps, qs / q_sum
 
 
 def _sim(pn, qn) -> float:
@@ -162,17 +168,20 @@ def _at_or_above(sorted_vals: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side="left")
 
 
-def _roc_area(n_tp: np.ndarray, nfix: int, n_fp: np.ndarray, nneg: int) -> float:
-    """Trapezoidal ROC area from exact counts at descending thresholds.
+def _roc_areas(n_tp: np.ndarray, nfix: int, n_fp: np.ndarray, nneg: int) -> np.ndarray:
+    """Trapezoidal ROC area of each row of ``n_fp``, from exact counts at
+    descending thresholds.
 
-    ``n_tp`` and ``n_fp`` count the fixations and the negatives at or
-    above each threshold. Integer counts make the ROC points reproducible
-    bit for bit; the cumulative sum adds the trapezoids in order, as a
-    sequential loop would.
+    ``n_tp`` and each row of ``n_fp`` count the fixations and the negatives
+    at or above each threshold. Integer counts make the ROC points
+    reproducible bit for bit; the row-wise cumulative sum adds each row's
+    trapezoids in order, as a sequential loop would.
     """
     tp = np.concatenate(([0.0], n_tp / nfix, [1.0]))
-    fp = np.concatenate(([0.0], n_fp / nneg, [1.0]))
-    return float(np.cumsum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1]) / 2.0)[-1])
+    fp = np.zeros((n_fp.shape[0], nfix + 2))
+    fp[:, 1:-1] = n_fp / nneg
+    fp[:, -1] = 1.0
+    return np.cumsum((fp[:, 1:] - fp[:, :-1]) * (tp[1:] + tp[:-1]) / 2.0, axis=1)[:, -1]
 
 
 def _fixated_roc(flat: np.ndarray, fpos: np.ndarray) -> tuple:
@@ -194,7 +203,7 @@ def _auc_judd(flat: np.ndarray, fpos: np.ndarray) -> float:
     above = flat[flat >= fix_sorted[0]]
     above.sort()
     n_fp = _at_or_above(above, thresholds) - n_tp
-    return _roc_area(n_tp, fpos.size, n_fp, flat.size - fpos.size)
+    return float(_roc_areas(n_tp, fpos.size, n_fp[None, :], flat.size - fpos.size)[0])
 
 
 def _auc_borji(flat: np.ndarray, fpos: np.ndarray, negatives_per_fixation: int,
@@ -203,7 +212,7 @@ def _auc_borji(flat: np.ndarray, fpos: np.ndarray, negatives_per_fixation: int,
         raise InputError("negatives_per_fixation must be >= 1")
     if splits < 1:
         raise InputError("splits must be >= 1")
-    _, thresholds, n_tp = _fixated_roc(flat, fpos)
+    fix_sorted, _, n_tp = _fixated_roc(flat, fpos)
     n_neg = fpos.size * negatives_per_fixation
     # skips[j] counts the non-fixated pixels before fixation j, so the i-th
     # non-fixated pixel in row-major order sits at flat position i plus the
@@ -211,12 +220,21 @@ def _auc_borji(flat: np.ndarray, fpos: np.ndarray, negatives_per_fixation: int,
     skips = fpos - np.arange(fpos.size)
     pool = flat.size - fpos.size
     rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(splits):
-        idx = rng.integers(0, pool, size=n_neg)
-        negatives = np.sort(flat[idx + np.searchsorted(skips, idx, side="right")])
-        total += _roc_area(n_tp, fpos.size, _at_or_above(negatives, thresholds), n_neg)
-    return total / splits
+    # one draw per split, the stream that a loop over the splits draws
+    idx = np.stack([rng.integers(0, pool, size=n_neg) for _ in range(splits)])
+    idx += np.searchsorted(skips, idx, side="right")
+    # rank[s, i]: the fixated values at or below negative i of split s, so
+    # that negative is at or above the k-th largest fixated value (the
+    # k-th descending threshold, from 0) when rank > nfix - 1 - k. Counts
+    # of each rank per split, summed from the top rank down, give every
+    # split's negatives at or above every threshold
+    nfix = fpos.size
+    rank = np.searchsorted(fix_sorted, np.take(flat, idx), side="right")
+    rank += np.arange(splits)[:, None] * (nfix + 1)
+    per_rank = np.bincount(rank.ravel(), minlength=splits * (nfix + 1))
+    n_fp = np.cumsum(per_rank.reshape(splits, nfix + 1)[:, :0:-1], axis=1)
+    # the areas added in split order, as the loop would
+    return float(np.cumsum(_roc_areas(n_tp, nfix, n_fp, n_neg))[-1]) / splits
 
 
 def cc(p, q) -> float:
@@ -226,7 +244,9 @@ def cc(p, q) -> float:
     constant the correlation carries no signal and 0.0 is returned.
     """
     pv, qv = _paired(p, q)
-    return _cc(*_centered(pv), *_support(qv))
+    on, qs, q_sum = _support(qv)
+    mean = _mass(pv) / pv.size
+    return _cc(pv[on], mean, _squares(pv, mean), pv.size, qs, q_sum)
 
 
 def sim(p, q) -> float:
@@ -235,15 +255,16 @@ def sim(p, q) -> float:
     Both maps must be non-negative: a negative value is an InputError.
     """
     pv, qv = _nonnegative(*_paired(p, q), "sim")
-    return _sim(*_normalized(pv, *_support(qv), "sim"))
+    on, qs, q_sum = _support(qv)
+    return _sim(*_unit(pv[on], _mass(pv), qs, q_sum, "sim"))
 
 
 def nss(s, f: FixationMap) -> float:
     """Normalized scanpath saliency: mean z-scored value at fixated pixels."""
     sv = _grid(s)
     fpos = _fixated(f, sv.shape)
-    d, ss = _centered(sv)
-    return _nss(d.ravel()[fpos], ss, sv.size)
+    mean = _mass(sv) / sv.size
+    return _nss(sv.ravel()[fpos] - mean, _squares(sv, mean), sv.size)
 
 
 def auc_judd(s, f: FixationMap) -> float:
@@ -274,7 +295,8 @@ def kld(p, q, epsilon: float = KLD_EPSILON) -> float:
     logarithm so empty predicted regions stay finite. 0 * log(0/.) is 0.
     """
     pv, qv = _nonnegative(*_paired(p, q), "kld")
-    return _kld(*_normalized(pv, *_support(qv), "kld"), epsilon)
+    on, qs, q_sum = _support(qv)
+    return _kld(*_unit(pv[on], _mass(pv), qs, q_sum, "kld"), epsilon)
 
 
 def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
@@ -287,16 +309,16 @@ def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
     to the CinegazeError its public function would raise; values equal
     the public functions' bit for bit. Work shared between metrics is
     done once: the ground truth's support (CC, SIM, KLD), the
-    prediction's deviations from its mean (CC, NSS), the unit-sum maps on
-    the support (SIM, KLD) and the fixated pixels' positions (NSS and
-    both AUCs). Maps of different dimensions raise InputError.
+    prediction's sum (its mean for CC and NSS, its mass for SIM and KLD),
+    its values on the support (CC, SIM, KLD) and the fixated pixels'
+    positions (NSS and both AUCs). Maps of different dimensions raise
+    InputError.
     """
     wanted = {Metric(m).value for m in metric_set}
     p, q = _paired(pred, gt)
     fpos = _fixated(fmap, p.shape)
+    flat = p.ravel()
     scores = {}
-    if wanted & {"CC", "SIM", "KLD"}:
-        support = _support(q)
 
     def score(name, fn, *args):
         try:
@@ -304,29 +326,39 @@ def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
         except CinegazeError as exc:
             scores[name] = exc
 
-    # each full-grid temporary is dropped as soon as the metrics that
+    # one sum gives the mean (CC, NSS) and the mass (SIM, KLD); one gather
+    # gives the prediction on the support (CC, then SIM and KLD in place).
+    # The full-grid deviations are summed and dropped before the gather,
+    # and every other temporary is dropped as soon as the metrics that
     # share it are scored, which keeps the peak memory of a frame low
+    if wanted & {"CC", "NSS", "SIM", "KLD"}:
+        p_sum = _mass(p)
+        mean = p_sum / p.size
     if wanted & {"CC", "NSS"}:
-        dp, ssp = _centered(p)
-        if "NSS" in wanted:
-            score("NSS", _nss, dp.ravel()[fpos], ssp, p.size)
-        if "CC" in wanted:
-            score("CC", _cc, dp, ssp, *support)
-        del dp
+        ssp = _squares(p, mean)
+    if "NSS" in wanted:
+        score("NSS", _nss, flat[fpos] - mean, ssp, p.size)
+    if wanted & {"CC", "SIM", "KLD"}:
+        on, qs, q_sum = _support(q)
+        ps = p[on]
+        del on
+    if "CC" in wanted:
+        score("CC", _cc, ps, mean, ssp, p.size, qs, q_sum)
     unit = [m for m in ("SIM", "KLD") if m in wanted]
     if unit:
         try:
-            pn, qn = _normalized(p, *support, unit[0].lower())
+            pn, qn = _unit(ps, p_sum, qs, q_sum, unit[0].lower())
         except InputError:
             for name in unit:  # the same check, raised with each one's message
-                score(name, _normalized, p, *support, name.lower())
+                score(name, _unit, ps, p_sum, qs, q_sum, name.lower())
         else:
             if "SIM" in wanted:
                 score("SIM", _sim, pn, qn)
             if "KLD" in wanted:
                 score("KLD", _kld, pn, qn, KLD_EPSILON)
             del pn, qn
-    flat = p.ravel()
+    if wanted & {"CC", "SIM", "KLD"}:
+        del ps, qs
     if "AUC_J" in wanted:
         score("AUC_J", _auc_judd, flat, fpos)
     if "AUC_B" in wanted:

@@ -18,6 +18,10 @@ from scipy.ndimage import correlate1d
 from .core import FixationMap, SaliencyMap
 from .errors import InputError
 
+#: output rows that ``resize_bilinear`` blends across y in one step; a
+#: band of 1920-wide rows (480 KiB) stays in cache between its passes
+RESIZE_BAND_ROWS = 32
+
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -198,19 +202,37 @@ def resize_bilinear(values: np.ndarray, out_width: int, out_height: int) -> np.n
     # blend each input row that some output row needs across x once, then
     # blend pairs of those rows across y: the products and sums of the
     # four-corner formula, so the values are the same bit for bit, and the
-    # result is C-ordered
+    # result is C-ordered. Both blends run one band of rows at a time, the
+    # y blend straight into the output, so no temporary is larger than a
+    # band. np.take gathers whole rows and columns, which is cheaper than
+    # 2-D fancy indexing; every index is in range, and mode="clip" lets it
+    # write into ``out`` directly, where the default mode buffers
     need, pick = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    cols = v[need[:, None], x0]
-    cols *= 1 - fx
-    right = v[need[:, None], x1]
-    right *= fx
-    cols += right
-    del right
-    out = cols[pick[:out_height]]
-    out *= (1 - fy)[:, None]
-    bottom = cols[pick[out_height:]]
-    bottom *= fy[:, None]
-    out += bottom
+    # the output first: the temporaries after it are freed at the top of
+    # the heap, where a later, larger allocation can take their place
+    out = np.empty((out_height, out_width))
+    cols = np.empty((need.size, out_width))
+    band = np.empty((min(RESIZE_BAND_ROWS, max(need.size, out_height)), out_width))
+    every_row = need.size == h  # then need[a:b] is a:b, and a slice needs no copy
+    gx = 1 - fx
+    for a in range(0, need.size, RESIZE_BAND_ROWS):
+        b = min(a + RESIZE_BAND_ROWS, need.size)
+        rows = v[a:b] if every_row else np.take(v, need[a:b], axis=0)
+        left, right = cols[a:b], band[:b - a]
+        np.take(rows, x0, axis=1, out=left, mode="clip")
+        left *= gx
+        np.take(rows, x1, axis=1, out=right, mode="clip")
+        right *= fx
+        left += right
+    top, bottom = pick[:out_height], pick[out_height:]
+    for a in range(0, out_height, RESIZE_BAND_ROWS):
+        b = min(a + RESIZE_BAND_ROWS, out_height)
+        upper, lower = out[a:b], band[:b - a]
+        np.take(cols, top[a:b], axis=0, out=upper, mode="clip")
+        upper *= (1 - fy[a:b])[:, None]
+        np.take(cols, bottom[a:b], axis=0, out=lower, mode="clip")
+        lower *= fy[a:b, None]
+        upper += lower
     return out
 
 

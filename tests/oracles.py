@@ -15,6 +15,7 @@ import numpy as np
 
 MAX_MAP_SIDE = 32        # metric and window-congruency instances
 MAX_CONV_SIDE = 64       # direct convolution instances
+MAX_RESIZE_SIDE = 2048   # resize instances: the four-corner formula is vectorized
 MAX_OBSERVERS = 8
 MAX_FRAMES = 50
 
@@ -50,7 +51,7 @@ def resize_bilinear_oracle(values, out_width, out_height):
     each output pixel blends its four input neighbours, top pair and
     bottom pair across x, then the two across y."""
     v = np.asarray(values, dtype=float)
-    _check_side(v, MAX_CONV_SIDE)
+    _check_side(v, MAX_RESIZE_SIDE)
     h, w = v.shape
     sx = (np.array([(w - 1) / 2.0]) if out_width == 1
           else np.arange(out_width) * ((w - 1) / (out_width - 1)))
@@ -159,6 +160,37 @@ def auc_borji_oracle(s, fix_pixels, negatives_per_fixation, splits, seed):
         idx = rng.integers(0, len(pool), size=n_neg)
         neg_vals = [pool[i] for i in idx]
         total += _trapezoid(_roc_points(fix_vals, neg_vals))
+    return total / splits
+
+
+def auc_borji_split_loop(s, fix_pixels, negatives_per_fixation, splits, seed):
+    """AUC-Borji the way the library computed it before its splits became
+    arrays: one split at a time, each split's negatives sorted and counted
+    against the descending fixated values, its trapezoids summed by
+    ``np.cumsum`` and the areas added in a running total. The sampling
+    contract is ``auc_borji_oracle``'s. Bit for bit, not just close, is
+    what the library must match here."""
+    s = np.asarray(s, dtype=float)
+    _check_side(s, MAX_CONV_SIDE)
+    flat = s.ravel()
+    fpos = np.array(sorted({y * s.shape[1] + x for (x, y) in fix_pixels}), dtype=np.int64)
+    nfix = fpos.size
+    fix_sorted = np.sort(flat[fpos])
+    thresholds = fix_sorted[::-1]
+
+    def at_or_above(sorted_vals):
+        return sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side="left")
+
+    tp = np.concatenate(([0.0], at_or_above(fix_sorted) / nfix, [1.0]))
+    n_neg = nfix * negatives_per_fixation
+    skips = fpos - np.arange(nfix)
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(splits):
+        idx = rng.integers(0, flat.size - nfix, size=n_neg)
+        negatives = np.sort(flat[idx + np.searchsorted(skips, idx, side="right")])
+        fp = np.concatenate(([0.0], at_or_above(negatives) / n_neg, [1.0]))
+        total += float(np.cumsum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1]) / 2.0)[-1])
     return total / splits
 
 

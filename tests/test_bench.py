@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cinegaze.bench import (DirectoryPredictions, ReportFormat, ScoreRow,
 from cinegaze.core import SaliencyMap
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
-from cinegaze.gridio import write_float_grid
+from cinegaze.gridio import write_float_grid, write_map
 from cinegaze.ingest import fixation_map_for_frame
 from cinegaze.metrics import auc_borji, auc_judd, cc, kld, nss, sim
 from cinegaze.saliency import blur_fixations, center_prior, make_kernel, resize_bilinear
@@ -90,6 +91,17 @@ class TestBenchmarkModel:
         assert any(f == 4 for f, _ in result.errors)
         assert sum(1 for r in result.rows if r.metric == "CC") == 9
 
+    def test_bad_pgm_sidecar_is_a_frame_error(self, clip, kernel, tmp_path, rng):
+        for f in range(10):
+            write_map(tmp_path / f"{f:06d}.pgm", rng.random((16, 24)))
+        (tmp_path / "000002.pgm.json").write_text("{}")
+        (tmp_path / "000007.pgm.json").write_text('{"scale": null}')
+        result = benchmark_model(DirectoryPredictions(tmp_path), clip, kernel,
+                                 aucb_seed=5, metric_set=("CC",))
+        assert [f for f, _ in result.errors] == [2, 7]
+        assert all("sidecar" in reason for _, reason in result.errors)
+        assert {r.frame_index for r in result.rows} == set(range(10)) - {2, 7}
+
     def test_prediction_resampled_to_ground_truth_grid(self, clip, kernel):
         # a low-resolution center prior still scores: resampling happened
         predictions = {f: center_prior(24, 16).values for f in range(10)}
@@ -146,6 +158,29 @@ class TestBenchmarkModel:
         scored = {r.frame_index for r in result.rows}
         assert not result.errors and len(scored) == 10
         assert calls == {"blur_fixations": 10, "resize_bilinear": 6}
+
+    def test_peak_memory_within_the_two_pass_scorer_s(self, monkeypatch):
+        # a frame's temporaries are dropped as soon as the metrics that
+        # share them are scored. The ceiling is the tracemalloc peak of the
+        # earlier scorer, which kept the whole prediction's deviations for
+        # CC and NSS and gathered it on the support twice, measured once on
+        # these frames inside the test suite: 1,839,282 bytes. With one
+        # shared sum and gather it read 1,622,583 bytes
+        fx = ScanpathFixture(seed=4, n_observers=14, frame_count=6, width=320,
+                             height=200, congruency=0.8, cluster_sigma=6.0)
+        clip = generate_scanpaths(fx)
+        rng = np.random.default_rng(8)
+        predictions = {f: rng.random((50, 80)) for f in range(6)}
+        # its one untouched 32 MiB block would be the whole peak
+        monkeypatch.setattr(bench, "_keep_freed_heap", lambda: None)
+        tracemalloc.start()
+        try:
+            result = benchmark_model(predictions, clip, make_kernel(8.0), aucb_seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.errors and len(result.rows) == 6 * 6
+        assert peak <= 1_839_282, peak
 
     def test_labels_joined_from_annotation(self, clip, kernel, rng):
         ann = annotation_for(clip)

@@ -9,12 +9,12 @@ from cinegaze import __version__
 from cinegaze.cli import build_parser, main
 from cinegaze.core import ClipMeta, frame_to_display
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
-from cinegaze.gridio import read_map, write_float_grid
+from cinegaze.gridio import read_map, write_float_grid, write_map
 from cinegaze.ingest import (CleanedFixations, fixation_map_for_frame, read_fixations,
                              write_fixations)
 from cinegaze.ioc import read_ioc_series
 from cinegaze.saliency import center_prior, make_kernel
-from cinegaze.tables import read_meta
+from cinegaze.tables import config_hash, read_meta
 
 from oracles import average_map_oracle
 
@@ -178,6 +178,10 @@ class TestPipeline:
         assert doc["test"] == "one_way_anova"
         assert 0.0 <= doc["p"] <= 1.0
         assert set(doc["group_sizes"]) == {"CU", "LS", "MS"}
+        assert doc["tool_version"] == __version__
+        assert doc["config_hash"] == config_hash({"tool_version": __version__,
+                                                  "test": "one_way_anova",
+                                                  "metric": "NSS", "partition": "Size"})
 
     def test_aggregate_table_shape(self, out):
         lines = [l for l in (out / "table_motion.csv").read_text().splitlines()
@@ -199,6 +203,9 @@ class TestPipeline:
     def test_bias_record(self, out):
         doc = json.loads((out / "bias.json").read_text())
         assert -1.0 <= doc["cc_with_prior"] <= 1.0
+        assert doc["tool_version"] == __version__
+        assert doc["config_hash"] == config_hash({"tool_version": __version__,
+                                                  "report": "bias"})
 
     def test_shot_stats_table(self, out):
         lines = (out / "shot_stats.csv").read_text().splitlines()
@@ -273,6 +280,16 @@ def test_report_takes_seed_from_score_table(out, tmp_path):
     bare.write_text("clip_id,frame_index,metric,value,motions,angle,size\nc,0,NSS,1.0,,,\n")
     assert main(["report", "--scores", str(bare), "--out", str(tmp_path / "b.csv")]) == 0
     assert read_meta(tmp_path / "b.csv")["aucb_seed"] == ""
+
+
+def test_pearson_output_records_provenance(tmp_path):
+    (tmp_path / "pairs.csv").write_text("a,b\n1,2\n2,3\n3,5\n4,4\n")
+    assert main(["stats", "--pairs", str(tmp_path / "pairs.csv"), "--x-col", "a",
+                 "--y-col", "b", "--out", str(tmp_path / "r.json")]) == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert (doc["test"], doc["n"], doc["tool_version"]) == ("pearson", 4, __version__)
+    assert doc["config_hash"] == config_hash({"tool_version": __version__, "test": "pearson",
+                                              "x": "a", "y": "b"})
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -396,6 +413,15 @@ def _bad_input_argv(name, d: Path) -> list:
         (d / "config.json").write_text(json.dumps({"fps": float("nan")}))
         fps = {"fps_nan": ["--fps", "nan"], "config_fps_nan": ["--config", str(d / "config.json")]}
         return ["report", "--shot-stats", str(d / "ann"), "--out", str(d / "shots.csv")] + fps[name]
+    if name in ("pgm_sidecar_without_scale", "pgm_header_not_a_number"):
+        write_map(d / "prior.f32", np.ones((4, 3)))
+        write_map(d / "avg.pgm", np.ones((4, 3)))
+        if name == "pgm_sidecar_without_scale":
+            (d / "avg.pgm.json").write_text("{}")
+        else:
+            (d / "avg.pgm").write_bytes(b"P5\nabc 4\n65535\n" + bytes(24))
+        return ["report", "--bias", "--average", str(d / "avg.pgm"),
+                "--prior", str(d / "prior.f32"), "--out", str(d / "bias.json")]
     raise AssertionError(name)
 
 
@@ -407,7 +433,8 @@ def _bad_input_argv(name, d: Path) -> list:
     "skip_first_negative", "frames_empty_range", "coordinate_out_of_frame",
     "report_json_nan", "fps_nan", "config_fps_nan", "config_window_infinity",
     "frames_file_unknown_clip", "auc_b_seed_negative", "auc_b_splits_zero",
-    "cut_drop_without_annotation", "pre_frames_negative"])
+    "cut_drop_without_annotation", "pre_frames_negative", "pgm_sidecar_without_scale",
+    "pgm_header_not_a_number"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
@@ -419,6 +446,8 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert not (tmp_path / "s.csv").exists()
-    for flag in ("--out", "--average", "--cut-drop"):
+    # --average names an output of saliency and an input of report --bias
+    outputs = ("--out", "--cut-drop") + (("--average",) if argv[0] == "saliency" else ())
+    for flag in outputs:
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()

@@ -73,6 +73,50 @@ class TestPgm16:
             read_pgm16(path)
 
 
+    @pytest.mark.parametrize("header,payload", [
+        pytest.param(b"P5\nabc 2\n65535\n", bytes(16), id="not_a_number"),
+        pytest.param(b"P5\n4 2.5\n65535\n", bytes(16), id="not_an_integer"),
+        pytest.param(b"P5\n0 2\n65535\n", bytes(16), id="zero_width"),
+        pytest.param(b"P5\n4 -2\n65535\n", bytes(16), id="negative_height"),
+        pytest.param(b"P5\n4 2\n+65535\n", bytes(16), id="signed_maxval"),
+        pytest.param(b"P5\n4 2", b"", id="truncated"),
+    ])
+    def test_bad_header_field_rejected(self, tmp_path, header, payload):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + payload)
+        with pytest.raises(FormatError):
+            read_pgm16(path)
+
+    @pytest.mark.parametrize("sidecar", [
+        pytest.param("{}", id="no_scale"),
+        pytest.param('{"scale": null}', id="null"),
+        pytest.param('{"scale": -2}', id="negative"),
+        pytest.param('{"scale": 0}', id="zero"),
+        pytest.param('{"scale": "nan"}', id="nan_string"),
+        pytest.param('{"scale": "2.0"}', id="number_string"),
+        pytest.param('{"scale": true}', id="boolean"),
+        pytest.param('{"scale": NaN}', id="nan"),
+        pytest.param('{"scale": Infinity}', id="infinity"),
+        pytest.param('{"scale": 1' + "0" * 400 + "}", id="integer_beyond_float"),
+        pytest.param("[2.0]", id="list"),
+        pytest.param("2.0", id="bare_number"),
+        pytest.param("not json", id="not_json"),
+        pytest.param("", id="empty"),
+    ])
+    def test_bad_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "m.pgm"
+        write_pgm16(path, np.ones((2, 4)))
+        (tmp_path / "m.pgm.json").write_text(sidecar)
+        with pytest.raises(FormatError):
+            read_pgm16(path)
+
+    def test_integer_scale_accepted(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        write_pgm16(path, np.ones((2, 4)))
+        (tmp_path / "m.pgm.json").write_text('{"scale": 65535}')
+        assert np.array_equal(read_pgm16(path), np.ones((2, 4)))
+
+
 class TestDispatch:
     def test_by_extension(self, tmp_path, rng):
         grid = rng.random((3, 3)).astype(np.float32).astype(float)

@@ -11,8 +11,8 @@ from cinegaze.metrics import (KLD_EPSILON, auc_borji, auc_judd, cc, kld, nss,
 from cinegaze.saliency import blur_fixations, make_kernel
 
 from conftest import random_metric_instance
-from oracles import (auc_borji_oracle, auc_judd_oracle, cc_oracle, kld_oracle,
-                     nss_oracle, sim_oracle)
+from oracles import (auc_borji_oracle, auc_borji_split_loop, auc_judd_oracle, cc_oracle,
+                     kld_oracle, nss_oracle, sim_oracle)
 
 
 def fixation_map(pixels, w=16, h=16):
@@ -167,6 +167,29 @@ class TestAucBorji:
     def test_seed_is_mandatory(self, rng):
         with pytest.raises(TypeError):
             auc_borji(rng.random((8, 8)), fixation_map([(1, 1)], 8, 8))
+
+    @pytest.mark.parametrize("splits", [1, 100])
+    @pytest.mark.parametrize("negatives_per_fixation", [1, 3])
+    def test_equals_the_split_loop_bit_for_bit(self, rng, splits, negatives_per_fixation):
+        # all splits as arrays against one split at a time: same draws, same
+        # counts, the same areas added in the same order
+        for style in (0, 1, 2) * 4:  # style 1 quantizes the map: tied values
+            s, _, fix_pixels = random_metric_instance(rng, side=12, style=style)
+            for pixels in (fix_pixels, fix_pixels + [(0, 0), (11, 11)]):
+                pixels = sorted(set(pixels))
+                seed = int(rng.integers(1 << 31))
+                got = auc_borji(s, fixation_map(pixels, 12, 12), negatives_per_fixation,
+                                splits, seed=seed)
+                assert got == auc_borji_split_loop(s, pixels, negatives_per_fixation,
+                                                   splits, seed)
+
+    def test_all_ties_and_one_fixation_equal_the_split_loop(self):
+        s = np.zeros((5, 7))
+        s[2, 3] = 1.0
+        for pixels in ([(0, 0)], [(6, 4)], [(3, 2)], [(0, 0), (6, 4), (3, 2)]):
+            for seed in (0, 1, 2):
+                got = auc_borji(s, fixation_map(pixels, 7, 5), 3, 100, seed=seed)
+                assert got == auc_borji_split_loop(s, pixels, 3, 100, seed)
 
 
 class TestKLD:

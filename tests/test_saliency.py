@@ -249,6 +249,13 @@ class TestResize:
         ((1, 8), (5, 3)),     # input height 1
         ((8, 1), (3, 5)),     # input width 1
         ((5, 5), (1, 1)),
+        # outputs several bands of RESIZE_BAND_ROWS tall
+        ((20, 30), (50, 101)),     # up, a height that is not a multiple of the band
+        ((50, 40), (70, 96)),      # up, exactly three bands
+        ((40, 50), (300, 33)),     # down in x, one row in the last band
+        ((40, 50), (300, 1)),      # one wide row
+        ((800, 1920), (640, 400)),  # down in both axes, 12.5 bands
+        ((200, 480), (1920, 800)),  # the benchmark's prediction onto its frame
     ])
     def test_equals_four_corner_formula(self, rng, shape, out):
         g = rng.random(shape)
