@@ -119,10 +119,14 @@ def _load_frames_file(path) -> dict:
     """--frames-file: a JSON object mapping clip ids to lists of frame indices."""
     with open(path) as f:
         doc = json.load(f)
-    if not (isinstance(doc, dict) and all(
-            isinstance(frames, list) and all(isinstance(v, int) for v in frames)
-            for frames in doc.values())):
+    if not (isinstance(doc, dict) and all(isinstance(frames, list) for frames in doc.values())):
         raise InputError(f"{path}: expected a JSON object of clip_id -> [frame, ...]")
+    for clip, frames in doc.items():
+        # bool is an int: `true` would select frame 1
+        bad = [v for v in frames if isinstance(v, bool) or not isinstance(v, int) or v < 0]
+        if bad:
+            raise InputError(f"{path}: clip {clip!r} has frames that are not "
+                             f"non-negative integers: {json.dumps(bad)}")
     return {clip: set(frames) for clip, frames in doc.items()}
 
 
@@ -197,6 +201,10 @@ def cmd_saliency(args):
 
     if not args.out_dir:
         raise InputError("per-frame saliency needs --out-dir")
+    if len(args.fixations) > 1:
+        # every clip's maps are named by frame index alone
+        raise InputError("per-frame saliency takes one --fixations file: clips would "
+                         "overwrite each other's maps in --out-dir")
     lo, hi = 0, sys.maxsize  # every frame unless --frames narrows the range
     if args.frames:
         try:

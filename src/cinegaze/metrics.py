@@ -220,8 +220,10 @@ def _auc_borji(flat: np.ndarray, fpos: np.ndarray, negatives_per_fixation: int,
     skips = fpos - np.arange(fpos.size)
     pool = flat.size - fpos.size
     rng = np.random.default_rng(seed)
-    # one draw per split, the stream that a loop over the splits draws
-    idx = np.stack([rng.integers(0, pool, size=n_neg) for _ in range(splits)])
+    # row s holds split s's draws: numpy keeps no per-call buffer for int64
+    # draws, so one call yields the stream of one call per split (pinned
+    # by the split-loop oracle test)
+    idx = rng.integers(0, pool, size=(splits, n_neg))
     idx += np.searchsorted(skips, idx, side="right")
     # rank[s, i]: the fixated values at or below negative i of split s, so
     # that negative is at or above the k-th largest fixated value (the

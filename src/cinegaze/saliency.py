@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .core import FixationMap, SaliencyMap
 from .errors import InputError
@@ -94,6 +93,10 @@ def _blur_points(xs, ys, amounts, width: int, height: int,
         for x, y, amount in zip(xs, ys, amounts):
             stamp_kernel(out, kernel.weights, x, y, amount)
         return out
+    # imported here, not at module level: loading scipy.ndimage adds ~20 MB
+    # and ~0.5 s to a process, and only this route needs it
+    from scipy.ndimage import correlate1d
+
     grid = np.zeros((height, width))
     grid[ys, xs] = amounts
     tmp = correlate1d(grid, kernel.weights_1d, axis=0, mode="constant", cval=0.0)

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +310,56 @@ def test_cli_errors_return_nonzero(tmp_path):
     assert rc != 0
 
 
+#: run in a fresh interpreter: the CLI chain must not load scipy, and the two
+#: calls that need it must load it and still work
+_SCIPY_ON_DEMAND = """
+import sys
+import numpy as np
+from cinegaze.cli import main
+
+d, meta, fix, ann, preds = sys.argv[1:]
+for argv in (["ingest", "--gaze", d + "/gaze.csv", "--meta", meta, "--out-dir", d],
+             ["ioc", "--fixations", fix, "--meta", meta, "--out", d + "/ioc.csv",
+              "--summary", d + "/ioc.json", "--cut-drop", d + "/cuts.csv",
+              "--annotation", ann],
+             ["bench", "--fixations", fix, "--predictions", preds, "--annotation", ann,
+              "--out", d + "/scores.csv"],
+             ["report", "--scores", d + "/scores.csv", "--partition", "Size",
+              "--out", d + "/table.csv"]):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:3]
+
+from cinegaze import saliency, stats
+r, p = stats.pearson([1, 2, 3, 4, 5], [2, 1, 4, 3, 5])
+assert r == 0.8 and abs(p - 0.10408803866182782) < 1e-12, (r, p)
+kernel = saliency.make_kernel(1.0)
+pixels = [(x, y) for x in range(8) for y in (0, 2, 5)]
+xs, ys = [x for x, _ in pixels], [y for _, y in pixels]
+stamped = np.zeros((6, 8))
+for x, y in zip(xs, ys):
+    saliency.stamp_kernel(stamped, kernel.weights, x, y, 2.0)
+blurred = saliency._blur_points(xs, ys, [2.0] * len(xs), 8, 6, kernel)
+assert np.allclose(blurred, stamped, rtol=0, atol=1e-12)
+assert {"scipy.special", "scipy.ndimage"} <= set(sys.modules)  # the separable route ran
+"""
+
+
+def test_scipy_loads_only_where_it_is_called(tmp_path):
+    meta = tmp_path / "meta.json"
+    make_raw_gaze(tmp_path / "gaze.csv", make_meta(meta))
+    make_annotation(tmp_path / "ann.json")
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_ON_DEMAND, str(tmp_path), str(meta),
+         str(tmp_path / f"{CLIP}_fixations.csv"), str(tmp_path / "ann.json"),
+         _predictions(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def _predictions(d: Path) -> str:
     """A directory with a scorable prediction for every frame."""
     preds = d / "preds"
@@ -345,6 +398,14 @@ def _bad_input_argv(name, d: Path) -> list:
         (d / "frames.json").write_text("[1, 2, 3]")
         return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
                 "--frames-file", str(d / "frames.json")]
+    if name in ("frames_file_boolean", "frames_file_negative"):
+        frame = {"frames_file_boolean": True, "frames_file_negative": -4}[name]
+        (d / "frames.json").write_text(json.dumps({CLIP: [2, 5, frame]}))
+        return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
+                "--frames-file", str(d / "frames.json"), "--skip-first", "0"]
+    if name == "per_frame_two_clips":
+        return ["saliency", "--fixations", fix, "--fixations", fix,
+                "--out-dir", str(d / "o"), "--frames", "0:3"]
     if name == "frames_file_unknown_clip":
         (d / "frames.json").write_text(json.dumps({CLIP: [1, 2, 3], "other": [5]}))
         return ["saliency", "--fixations", fix, "--average", str(d / "a.f32"),
@@ -434,7 +495,8 @@ def _bad_input_argv(name, d: Path) -> list:
     "report_json_nan", "fps_nan", "config_fps_nan", "config_window_infinity",
     "frames_file_unknown_clip", "auc_b_seed_negative", "auc_b_splits_zero",
     "cut_drop_without_annotation", "pre_frames_negative", "pgm_sidecar_without_scale",
-    "pgm_header_not_a_number"])
+    "pgm_header_not_a_number", "frames_file_boolean", "frames_file_negative",
+    "per_frame_two_clips"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
@@ -445,9 +507,13 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
+    if "--frames-file" in argv:
+        assert argv[argv.index("--frames-file") + 1] in err[0]
     assert not (tmp_path / "s.csv").exists()
     # --average names an output of saliency and an input of report --bias
     outputs = ("--out", "--cut-drop") + (("--average",) if argv[0] == "saliency" else ())
     for flag in outputs:
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()
+    if argv[0] == "saliency" and "--out-dir" in argv:
+        assert not list(Path(argv[argv.index("--out-dir") + 1]).glob("*"))
