@@ -24,7 +24,6 @@ single-valued. Face boxes are [x, y, w, h] in frame pixels, keyed by frame.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -171,12 +170,9 @@ def _enum_value(enum_cls, token, context):
         ) from None
 
 
-def parse_annotations(document: str) -> ClipAnnotation:
-    """Parse and validate one clip's annotation document."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"annotation document is not valid JSON: {exc}") from exc
+def parse_annotations(doc) -> ClipAnnotation:
+    """Parse and validate one clip's annotation document, as
+    ``tables.read_json`` returns it."""
     if not isinstance(doc, dict):
         raise ValidationError("annotation document must be a JSON object")
     version = doc.get("schema_version")

@@ -17,18 +17,16 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
 from .annotations import ClipAnnotation, PartitionKind, labels, shot_at
-from .core import SaliencyMap, finite_grid
+from .core import finite_grid
 from .errors import CinegazeError, InputError
 from .gridio import read_map
 from .ingest import CleanedFixations, fixation_map_for_frame
 from .metrics import KLD_EPSILON, Metric, cc, score_frame
 from .saliency import GaussianKernel, blur_fixations, resize_bilinear
-from .tables import config_hash, read_table, write_json, write_table
+from .tables import provenance, read_table, write_json, write_table
 
-METRIC_ORDER = [m.value for m in
-                (Metric.CC, Metric.SIM, Metric.AUC_J, Metric.AUC_B, Metric.NSS, Metric.KLD)]
+METRIC_ORDER = [m.value for m in Metric]
 
 #: score table columns and their cell converters
 SCORE_COLUMNS = {"clip_id": str, "frame_index": int, "metric": str, "value": float,
@@ -210,16 +208,20 @@ class BiasRecord:
     peak_offset_px: tuple  # (dx, dy) of the average map's argmax from center
 
 
-def bias_report(avg: SaliencyMap, prior: SaliencyMap) -> BiasRecord:
+def bias_report(avg, prior) -> BiasRecord:
     """Correlation of an average map with a center prior, plus the offset
     of the average map's density peak from the geometric center.
 
+    Both grids come from outside, so each must be finite and non-negative.
     Ties in the argmax resolve to the first pixel in row-major order.
     """
+    avg, prior = finite_grid(avg), finite_grid(prior)
+    if (avg < 0).any() or (prior < 0).any():
+        raise InputError("saliency map values must be non-negative")
     correlation = cc(avg, prior)
-    iy, ix = np.unravel_index(int(np.argmax(avg.values)), avg.values.shape)
-    dx = ix - (avg.width - 1) / 2.0
-    dy = iy - (avg.height - 1) / 2.0
+    iy, ix = np.unravel_index(int(np.argmax(avg)), avg.shape)
+    dx = ix - (avg.shape[1] - 1) / 2.0
+    dy = iy - (avg.shape[0] - 1) / 2.0
     return BiasRecord(correlation, (dx, dy))
 
 
@@ -236,18 +238,6 @@ class ReportFormat(str, Enum):
     STRUCTURED = "json"
 
 
-def _report_meta(meta: Optional[Mapping], aucb_seed) -> dict:
-    merged = {
-        "tool_version": __version__,
-        "kld_epsilon": repr(KLD_EPSILON),
-        "aucb_seed": "" if aucb_seed is None else str(aucb_seed),
-    }
-    if meta:
-        merged.update({str(k): str(v) for k, v in meta.items()})
-    merged["config_hash"] = config_hash(merged)
-    return merged
-
-
 def emit_report(data, path, fmt: ReportFormat = ReportFormat.DELIMITED,
                 meta: Optional[Mapping] = None, aucb_seed=None) -> None:
     """Write a score table or an aggregate as a deterministic report file.
@@ -257,7 +247,8 @@ def emit_report(data, path, fmt: ReportFormat = ReportFormat.DELIMITED,
     same input produces a byte-identical file.
     """
     fmt = ReportFormat(fmt)
-    header = _report_meta(meta, aucb_seed)
+    header = provenance({"kld_epsilon": repr(KLD_EPSILON),
+                         "aucb_seed": "" if aucb_seed is None else aucb_seed, **(meta or {})})
     if isinstance(data, Mapping):
         metrics_present = {m for row in data.values() for m in row}
         columns = [m for m in METRIC_ORDER if m in metrics_present]
@@ -272,7 +263,7 @@ def emit_report(data, path, fmt: ReportFormat = ReportFormat.DELIMITED,
         raise InputError("refusing to emit an empty report")
 
     if fmt is ReportFormat.DELIMITED:
-        write_table(path, field_names, table, meta=dict(sorted(header.items())))
+        write_table(path, field_names, table, meta=header)
         return
     write_json(path, {"meta": header, "columns": field_names,
                       "rows": [dict(zip(field_names, row)) for row in table]})

@@ -27,13 +27,12 @@ import operator
 import sys
 from pathlib import Path
 
-from . import __version__
 from .annotations import (PartitionKind, cuts_of, labels, parse_annotations,
                           shot_stats)
-from .bench import (DirectoryPredictions, ReportFormat, aggregate_by_annotation,
-                    benchmark_model, bias_report, dataset_means, emit_report,
-                    group_scores, per_clip_means, read_score_rows)
-from .core import ClipMeta, SaliencyMap
+from .bench import (METRIC_ORDER, DirectoryPredictions, ReportFormat,
+                    aggregate_by_annotation, benchmark_model, bias_report, dataset_means,
+                    emit_report, group_scores, per_clip_means, read_score_rows)
+from .core import ClipMeta
 from .errors import CinegazeError, InputError
 from .gridio import read_map, write_map
 from .ingest import (ColumnMap, IngestReport, clean_and_bin, filter_observers,
@@ -41,10 +40,9 @@ from .ingest import (ColumnMap, IngestReport, clean_and_bin, filter_observers,
                      read_fixations, write_fixations)
 from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
                   sequence_ioc_summary, series_header, write_ioc_series)
-from .metrics import Metric
 from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
-from .tables import config_hash, read_meta, read_table, write_json, write_table
+from .tables import provenance, read_json, read_meta, read_table, write_json, write_table
 
 #: setting -> (default, *bounds); a bound is (comparison, limit)
 DEFAULTS = {
@@ -103,8 +101,7 @@ def _resolve_settings(args) -> None:
     else DEFAULTS."""
     config = {}
     if args.config:
-        with open(args.config) as f:
-            config = json.load(f)
+        config = read_json(args.config)
         if not isinstance(config, dict):
             raise InputError(f"{args.config}: a config file is a JSON object")
         unknown = set(config) - set(DEFAULTS)
@@ -117,8 +114,7 @@ def _resolve_settings(args) -> None:
 
 def _load_frames_file(path) -> dict:
     """--frames-file: a JSON object mapping clip ids to lists of frame indices."""
-    with open(path) as f:
-        doc = json.load(f)
+    doc = read_json(path)
     if not (isinstance(doc, dict) and all(isinstance(frames, list) for frames in doc.values())):
         raise InputError(f"{path}: expected a JSON object of clip_id -> [frame, ...]")
     for clip, frames in doc.items():
@@ -130,20 +126,14 @@ def _load_frames_file(path) -> dict:
     return {clip: set(frames) for clip, frames in doc.items()}
 
 
-def _load_meta(path) -> ClipMeta:
-    with open(path) as f:
-        return ClipMeta.from_dict(json.load(f))
-
-
-def _provenance(echo: dict) -> dict:
-    """A JSON output's ``tool_version`` and ``config_hash``: the hash of the
-    tool version and ``echo`` as text, as a report header hashes them."""
-    header = {"tool_version": __version__, **{str(k): str(v) for k, v in echo.items()}}
-    return {"tool_version": __version__, "config_hash": config_hash(header)}
+def _stamp(header: dict) -> dict:
+    """What a JSON output records of a ``tables.provenance`` header: its
+    ``tool_version`` and ``config_hash``."""
+    return {key: header[key] for key in ("tool_version", "config_hash")}
 
 
 def cmd_ingest(args):
-    meta = _load_meta(args.meta)
+    meta = ClipMeta.from_dict(read_json(args.meta))
     colmap = ColumnMap.from_json(args.colmap) if args.colmap else ColumnMap()
     report = IngestReport()
     with open(args.gaze) as f:
@@ -213,18 +203,16 @@ def cmd_saliency(args):
             raise InputError(f"--frames expects lo:hi, got {args.frames!r}") from None
         if lo >= hi:
             raise InputError(f"--frames {args.frames}: the range lo:hi is empty")
+    cleaned = read_fixations(args.fixations[0])  # before the directory is made
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = args.format
     written = 0
-    for path in args.fixations:
-        cleaned = read_fixations(path)
-        for f in range(lo, min(hi, cleaned.frame_count)):
-            if not cleaned.frame_points(f) and not args.frames:
-                continue
-            blurred = blur_fixations(fixation_map_for_frame(cleaned, f), kernel)
-            write_map(out_dir / f"{f:06d}.{suffix}", blurred.values)
-            written += 1
+    for f in range(lo, min(hi, cleaned.frame_count)):
+        if not cleaned.frame_points(f) and not args.frames:
+            continue
+        blurred = blur_fixations(fixation_map_for_frame(cleaned, f), kernel)
+        write_map(out_dir / f"{f:06d}.{args.format}", blurred.values)
+        written += 1
     print(f"{written} saliency maps -> {out_dir}")
     return 0
 
@@ -236,8 +224,8 @@ def cmd_ioc(args):
     if args.cut_drop:
         if not args.annotation:
             raise InputError("--cut-drop needs --annotation for the cut list")
-        cuts = cuts_of(parse_annotations(Path(args.annotation).read_text()))
-    meta = _load_meta(args.meta)
+        cuts = cuts_of(parse_annotations(read_json(args.annotation)))
+    meta = ClipMeta.from_dict(read_json(args.meta))
     cleaned = read_fixations(args.fixations)
     series = loo_window_ioc(cleaned, meta, cfg)
     # every output is computed before the first is written
@@ -249,12 +237,10 @@ def cmd_ioc(args):
     write_ioc_series(series, args.out, meta=echo)
     print(f"{series.clip_id}: {len(series.values)} windows -> {args.out}")
     if summary is not None:
-        header = series_header(echo)
         write_json(args.summary, {"clip_id": series.clip_id, "n": series.n,
                                   "mean": summary.mean, "median": summary.median,
                                   "std": summary.std, "count": summary.count,
-                                  "tool_version": header["tool_version"],
-                                  "config_hash": header["config_hash"]})
+                                  **_stamp(series_header(echo))})
         print(f"summary mean={summary.mean:.4f} -> {args.summary}")
     if records is not None:
         write_table(args.cut_drop, ["cut", "pre_mean", "post_mean", "drop", "overlaps_context"],
@@ -267,13 +253,11 @@ def cmd_ioc(args):
 def cmd_bench(args):
     kernel = make_kernel(args.sigma_px, args.truncation)
     cleaned = read_fixations(args.fixations)
-    annotation = None
-    if args.annotation:
-        annotation = parse_annotations(Path(args.annotation).read_text())
-    known = [m.value for m in Metric]
-    metric_set = [m.strip() for m in args.metrics.split(",")] if args.metrics else known
-    if not set(metric_set) <= set(known):
-        raise InputError(f"--metrics {args.metrics!r}: choose from {', '.join(known)}")
+    annotation = parse_annotations(read_json(args.annotation)) if args.annotation else None
+    metric_set = ([m.strip() for m in args.metrics.split(",")] if args.metrics
+                  else METRIC_ORDER)
+    if not set(metric_set) <= set(METRIC_ORDER):
+        raise InputError(f"--metrics {args.metrics!r}: choose from {', '.join(METRIC_ORDER)}")
     result = benchmark_model(
         DirectoryPredictions(args.predictions), cleaned, kernel,
         annotation=annotation, metric_set=metric_set,
@@ -320,7 +304,7 @@ def cmd_stats(args):
                "df_between": res.df_between, "df_within": res.df_within,
                "group_sizes": dict(zip(res.group_names, res.group_sizes)),
                "pairwise_welch": pairwise}
-    write_json(args.out, {**out, **_provenance(echo)})
+    write_json(args.out, {**out, **_stamp(provenance(echo))})
     print(f"stats -> {args.out}")
     return 0
 
@@ -328,16 +312,14 @@ def cmd_stats(args):
 def cmd_report(args):
     fmt = ReportFormat(args.format)
     if args.bias:
-        avg = SaliencyMap(read_map(args.average))
-        prior = SaliencyMap(read_map(args.prior))
-        record = bias_report(avg, prior)
+        record = bias_report(read_map(args.average), read_map(args.prior))
         write_json(args.out, {"cc_with_prior": record.cc_with_prior,
                               "peak_offset_px": list(record.peak_offset_px),
-                              **_provenance({"report": "bias"})})
+                              **_stamp(provenance({"report": "bias"}))})
     elif args.shot_stats:
         stats_rows = []
         for path in sorted(Path(args.shot_stats).glob("*.json")):
-            ann = parse_annotations(path.read_text())
+            ann = parse_annotations(read_json(path))
             stats_rows.append(shot_stats(ann, args.fps))
         if not stats_rows:
             raise InputError(f"no annotation documents under {args.shot_stats}")
@@ -440,7 +422,7 @@ def main(argv=None) -> int:
     try:
         _resolve_settings(args)
         return args.func(args)
-    except (CinegazeError, OSError, json.JSONDecodeError) as exc:
+    except (CinegazeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

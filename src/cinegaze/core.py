@@ -179,44 +179,24 @@ class FixationMap:
     def __len__(self):
         return len(self.points)
 
-    def to_array(self) -> np.ndarray:
-        """Dense float64 binary grid, indexed [y, x]."""
-        grid = np.zeros((self.height, self.width))
-        for (x, y) in self.points:
-            grid[y, x] = 1.0
-        return grid
-
 
 def finite_grid(values) -> np.ndarray:
     """``values`` as a float grid; InputError unless it is a non-empty,
-    finite 2-D grid."""
+    finite 2-D grid. The one check of a map from outside the program."""
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.size == 0:
-        raise InputError("SaliencyMap expects a non-empty 2-D grid")
+        raise InputError("a saliency map must be a non-empty 2-D grid")
     if not np.all(np.isfinite(v)):
-        raise InputError("SaliencyMap values must be finite")
+        raise InputError("saliency map values must be finite")
     return v
 
 
 @dataclass(frozen=True)
 class SaliencyMap:
-    """Dense non-negative real-valued grid, indexed [y, x]."""
+    """Dense non-negative real-valued grid, indexed [y, x], as the library
+    builds it; it is not checked again (see ``finite_grid``)."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        v = finite_grid(self.values)
-        if np.any(v < 0):
-            raise InputError("SaliencyMap values must be non-negative")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
 
 def frame_of(timestamp_ms: float, fps: float) -> int:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InputError
+from .tables import read_json
 
 FLOAT_GRID_MAGIC = b"FGR1"
 PGM_MAXVAL = 65535
@@ -119,11 +120,7 @@ def read_pgm16(path) -> np.ndarray:
 def _sidecar_scale(path) -> float:
     """The ``scale`` of a PGM sidecar; FormatError unless the file is a
     JSON object whose ``scale`` is a finite, positive number."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except ValueError as exc:
-        raise FormatError(f"{path}: sidecar is not JSON ({exc})") from None
+    doc = read_json(path)
     scale = doc.get("scale") if isinstance(doc, dict) else None
     try:
         value = float(scale) if type(scale) in (int, float) else math.nan  # not bool

@@ -13,7 +13,6 @@ instead of aborting the run.
 from __future__ import annotations
 
 import io
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .core import (ClipMeta, FixationMap, GazeEvent, GazeSample, display_to_frame,
                    frame_of, has_control_chars, rasterize_point)
 from .errors import FormatError, InputError
-from .tables import read_table, write_table
+from .tables import read_json, read_table, write_table
 
 #: fixation file columns and their cell converters
 FIXATION_COLUMNS = {"observer_id": str, "frame_index": int, "x": float, "y": float}
@@ -103,8 +102,7 @@ class ColumnMap:
 
     @classmethod
     def from_json(cls, path) -> "ColumnMap":
-        with open(path) as f:
-            doc = json.load(f)
+        doc = read_json(path)
         known = list(cls.__dataclass_fields__)
         if not (isinstance(doc, dict) and set(doc) <= set(known)
                 and all(isinstance(v, str) for v in doc.values())):

@@ -54,12 +54,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
 from .core import ClipMeta
 from .errors import FormatError, InputError
 from .ingest import CleanedFixations
 from .saliency import make_kernel
-from .tables import config_hash, optional_float, read_table, write_table
+from .tables import optional_float, provenance, read_table, write_table
 
 #: decisions echoed into every persisted series (see module docstring)
 SERIES_POLICY = {
@@ -536,11 +535,7 @@ def cut_drop_analysis(series: IocSeries, cuts: Sequence[int],
 def series_header(meta: Optional[dict] = None) -> dict:
     """A series file's header: the estimator policy decisions, the tool
     version, ``meta`` as text and a hash of all of them."""
-    header = dict(SERIES_POLICY, tool_version=__version__)
-    if meta:
-        header.update({str(k): str(v) for k, v in meta.items()})
-    header["config_hash"] = config_hash(header)
-    return dict(sorted(header.items()))
+    return provenance({**SERIES_POLICY, **(meta or {})})
 
 
 def write_ioc_series(series: IocSeries, path, meta: Optional[dict] = None) -> None:

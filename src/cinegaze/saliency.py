@@ -120,7 +120,7 @@ def blur_fixations(fmap: FixationMap, kernel: GaussianKernel) -> SaliencyMap:
 def average_map(clips: Iterable[Iterable[FixationMap]], kernel: GaussianKernel,
                 width: int = 640, height: int = 400) -> SaliencyMap:
     """Mean over all maps of all clips of each map's blur, resampled onto
-    the ``width`` x ``height`` reference grid (``to_reference_grid``).
+    the ``width`` x ``height`` reference grid by ``resize_bilinear``.
 
     Blur and bilinear resampling are linear, so each clip is blurred and
     resampled once, as the per-pixel count of its maps' fixations; the
@@ -237,10 +237,3 @@ def resize_bilinear(values: np.ndarray, out_width: int, out_height: int) -> np.n
         lower *= fy[a:b, None]
         upper += lower
     return out
-
-
-def to_reference_grid(smap: SaliencyMap, width: int = 640, height: int = 400) -> SaliencyMap:
-    """Resample a map to the common grid used for cross-clip averaging."""
-    out = resize_bilinear(smap.values, width, height)
-    np.maximum(out, 0.0, out=out)
-    return SaliencyMap(out)

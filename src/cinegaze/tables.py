@@ -3,9 +3,10 @@
 A table holds ``# key=value`` metadata lines, the column row, then one
 line per record. Cells use the csv module's minimal quoting, so ids may
 hold commas, quotes or a leading ``#``. Floats are written with ``repr``
-and ``None`` as an empty cell. ``config_hash`` is the one digest that
-report and series headers carry for their metadata. ``write_json`` is the
-one writer of JSON outputs.
+and ``None`` as an empty cell. ``provenance`` builds the header that
+reports, series and JSON outputs carry, with its ``config_hash``.
+``read_json`` is the one reader of JSON inputs and ``write_json`` the one
+writer of JSON outputs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import json
 from typing import Callable, Iterable, Mapping, Optional
 
+from . import __version__
 from .errors import FormatError, InputError
 
 
@@ -28,6 +30,24 @@ def config_hash(meta: Mapping) -> str:
     """Short digest of a metadata mapping, independent of key order."""
     canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def provenance(fields: Mapping) -> dict:
+    """An output's header, sorted by key: the tool version, ``fields`` as
+    text, and the ``config_hash`` of both."""
+    header = {"tool_version": __version__, **{str(k): str(v) for k, v in fields.items()}}
+    header["config_hash"] = config_hash(header)
+    return dict(sorted(header.items()))
+
+
+def read_json(path):
+    """The document in JSON file ``path``; FormatError, naming the file,
+    when it is not JSON."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # a decode error, or bytes that are not text
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
 def write_json(path, doc) -> None:

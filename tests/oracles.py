@@ -4,9 +4,9 @@ Everything here recomputes results straight from the definitions (explicit
 sums, threshold enumeration, dense grids, numeric integration), shares no
 code with the production implementations, and is size-capped: these exist
 to pin correctness, not to be fast. The one exception is
-``average_map_oracle``: it pins the per-clip average to the per-frame
-route, built from the library's blur and resample, which the oracles
-above pin in turn.
+``average_map_oracle`` with its ``to_reference_grid``: it pins the
+per-clip average to the per-frame route, built from the library's blur
+and resample, which the oracles above pin in turn.
 """
 
 import math
@@ -24,6 +24,14 @@ def _check_side(grid, cap):
     h, w = grid.shape
     if h > cap or w > cap:
         raise ValueError(f"oracle refuses {w}x{h} instance (cap {cap})")
+
+
+def fixation_array(fmap):
+    """A FixationMap as a dense float64 binary grid, indexed [y, x]."""
+    grid = np.zeros((fmap.height, fmap.width))
+    for (x, y) in fmap.points:
+        grid[y, x] = 1.0
+    return grid
 
 
 def direct_convolve2d(grid, kernel2d):
@@ -70,12 +78,21 @@ def resize_bilinear_oracle(values, out_width, out_height):
 
 # ---------------------------------------------------------------- average
 
+def to_reference_grid(values, width, height):
+    """A map resampled by the library onto the ``width`` x ``height``
+    grid of cross-clip averaging, clamped at zero."""
+    from cinegaze.saliency import resize_bilinear
+    out = resize_bilinear(values, width, height)
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
 def average_map_oracle(clips, kernel, width, height):
     """The per-frame route of the cross-clip average: every map of every
     clip blurred at full resolution, resampled onto the ``width`` x
     ``height`` grid (``to_reference_grid``), then the plain mean."""
-    from cinegaze.saliency import blur_fixations, to_reference_grid
-    grids = [to_reference_grid(blur_fixations(m, kernel), width, height).values
+    from cinegaze.saliency import blur_fixations
+    grids = [to_reference_grid(blur_fixations(m, kernel).values, width, height)
              for maps in clips for m in maps]
     return sum(grids) / len(grids)
 

@@ -32,10 +32,11 @@ from cinegaze.metrics import (KLD_EPSILON, auc_borji, auc_judd, cc, kld, nss,
                               sim)
 from cinegaze.saliency import blur_fixations, center_prior, make_kernel
 from cinegaze.stats import one_way_anova, pearson, t_sf_two_sided, f_sf, welch_t_test
+from cinegaze.tables import read_json
 
 from conftest import random_metric_instance, scanpath_battery
 from oracles import (auc_borji_oracle, auc_judd_oracle, cc_oracle,
-                     direct_convolve2d, f_p_oracle, kld_oracle,
+                     direct_convolve2d, f_p_oracle, fixation_array, kld_oracle,
                      naive_loo_window_ioc, nss_oracle, pooled_t_oracle,
                      sim_oracle, t_p_two_sided_oracle)
 
@@ -91,7 +92,7 @@ def test_criterion_02_convolution_equivalence():
             pts = frozenset((int(v % 64), int(v // 64)) for v in flat)
             fmap = FixationMap(0, 64, 64, pts)
             mine = blur_fixations(fmap, kernel).values
-            ref = direct_convolve2d(fmap.to_array(), kernel.weights)
+            ref = direct_convolve2d(fixation_array(fmap), kernel.weights)
             assert np.abs(mine - ref).max() < 1e-6
             if all(r <= x < 64 - r and r <= y < 64 - r for (x, y) in pts):
                 assert abs(mine.sum() - len(pts)) < 1e-6
@@ -177,7 +178,7 @@ def load_clip(root: Path, meta_path: Path):
         kept, _ = filter_observers(records, 0.9)
         cleaned = clean_and_bin(kept, meta)
         ann_path = root / "annotations" / f"{meta.clip_id}.json"
-        annotation = parse_annotations(ann_path.read_text()) if ann_path.exists() else None
+        annotation = parse_annotations(read_json(ann_path)) if ann_path.exists() else None
         _dataset_cache[key] = (meta, cleaned, annotation)
     return _dataset_cache[key]
 

@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import pytest
@@ -7,6 +6,7 @@ from cinegaze.annotations import (CameraAngle, CameraMotion, FaceBox,
                                   MotionDirection, ShotSize, cuts_of,
                                   parse_annotations, shot_at, shot_stats)
 from cinegaze.errors import InputError, ValidationError
+from cinegaze.tables import read_json
 
 GOLDEN = Path(__file__).parent / "data" / "golden_annotation.json"
 
@@ -23,7 +23,7 @@ def doc(shots, frame_count=20, faces=None, **extra):
     if faces is not None:
         d["faces"] = faces
     d.update(extra)
-    return json.dumps(d)
+    return d
 
 
 def shot_dict(start, end, motions=("Static",), angle="Eye", size="MS", **kw):
@@ -100,7 +100,7 @@ class TestRoundTrip:
     """The golden document loads with every schema field intact."""
 
     def test_golden_document_fields(self):
-        ann = parse_annotations(GOLDEN.read_text())
+        ann = parse_annotations(read_json(GOLDEN))
         assert ann.faces == {
             12: (FaceBox(100.0, 50.0, 80.0, 120.0), FaceBox(400.0, 60.0, 70.0, 110.0)),
             41: (FaceBox(250.0, 40.0, 140.0, 200.0),),
@@ -113,7 +113,7 @@ class TestRoundTrip:
             (CameraAngle.LOW, ShotSize.CU)]
 
     def test_shots_tile_frame_count(self):
-        ann = parse_annotations(GOLDEN.read_text())
+        ann = parse_annotations(read_json(GOLDEN))
         assert sum(s.end - s.start for s in ann.shots) == ann.frame_count
 
 
@@ -134,11 +134,11 @@ class TestQueries:
         assert stats.average_s == pytest.approx(240 / 24.0 / 3)
 
     def test_cut_count_matches_shot_count(self):
-        ann = parse_annotations(GOLDEN.read_text())
+        ann = parse_annotations(read_json(GOLDEN))
         assert len(cuts_of(ann)) == len(ann.shots) - 1
 
     def test_shot_at(self):
-        ann = parse_annotations(GOLDEN.read_text())
+        ann = parse_annotations(read_json(GOLDEN))
         assert shot_at(ann, 0).start == 0
         assert shot_at(ann, 39).start == 25
         with pytest.raises(InputError):

