@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import InputError, ValidationError
+from .tables import read_json
 
 SCHEMA_VERSION = 1
 
@@ -214,6 +215,16 @@ def parse_annotations(doc) -> ClipAnnotation:
         shots=tuple(shots),
         faces=faces,
     )
+
+
+def read_annotation(path) -> ClipAnnotation:
+    """The annotation document in JSON file ``path``, parsed and validated;
+    a FormatError or ValidationError names the file."""
+    doc = read_json(path)
+    try:
+        return parse_annotations(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def cuts_of(annotation: ClipAnnotation) -> list:

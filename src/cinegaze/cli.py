@@ -27,8 +27,7 @@ import operator
 import sys
 from pathlib import Path
 
-from .annotations import (PartitionKind, cuts_of, labels, parse_annotations,
-                          shot_stats)
+from .annotations import PartitionKind, cuts_of, labels, read_annotation, shot_stats
 from .bench import (METRIC_ORDER, DirectoryPredictions, ReportFormat,
                     aggregate_by_annotation, benchmark_model, bias_report, dataset_means,
                     emit_report, group_scores, per_clip_means, read_score_rows)
@@ -132,6 +131,20 @@ def _stamp(header: dict) -> dict:
     return {key: header[key] for key in ("tool_version", "config_hash")}
 
 
+def _annotation_of(path, cleaned, fixations_path):
+    """The annotation document at ``path``, which must describe the clip of
+    the fixation file: the same clip id, frame count and frame grid."""
+    ann = read_annotation(path)
+    mine = (ann.clip_id, ann.frame_count, ann.frame_width, ann.frame_height)
+    theirs = (cleaned.clip_id, cleaned.frame_count, cleaned.width, cleaned.height)
+    if mine != theirs:
+        def clip(c, frames, w, h):
+            return f"clip {c!r}, {frames} frames of {w}x{h}"
+        raise InputError(f"{path} annotates {clip(*mine)}, but {fixations_path} holds "
+                         f"{clip(*theirs)}")
+    return ann
+
+
 def cmd_ingest(args):
     meta = ClipMeta.from_dict(read_json(args.meta))
     colmap = ColumnMap.from_json(args.colmap) if args.colmap else ColumnMap()
@@ -220,13 +233,13 @@ def cmd_saliency(args):
 def cmd_ioc(args):
     cfg = IocConfig(n=args.window, sigma_px=args.sigma_px,
                     min_observers=args.min_observers, truncation=args.truncation)
-    cuts = None
-    if args.cut_drop:
-        if not args.annotation:
-            raise InputError("--cut-drop needs --annotation for the cut list")
-        cuts = cuts_of(parse_annotations(read_json(args.annotation)))
+    if args.cut_drop and not args.annotation:
+        raise InputError("--cut-drop needs --annotation for the cut list")
     meta = ClipMeta.from_dict(read_json(args.meta))
     cleaned = read_fixations(args.fixations)
+    annotation = (_annotation_of(args.annotation, cleaned, args.fixations)
+                  if args.annotation else None)
+    cuts = cuts_of(annotation) if args.cut_drop else None
     series = loo_window_ioc(cleaned, meta, cfg)
     # every output is computed before the first is written
     summary = sequence_ioc_summary(series) if args.summary else None
@@ -253,7 +266,8 @@ def cmd_ioc(args):
 def cmd_bench(args):
     kernel = make_kernel(args.sigma_px, args.truncation)
     cleaned = read_fixations(args.fixations)
-    annotation = parse_annotations(read_json(args.annotation)) if args.annotation else None
+    annotation = (_annotation_of(args.annotation, cleaned, args.fixations)
+                  if args.annotation else None)
     metric_set = ([m.strip() for m in args.metrics.split(",")] if args.metrics
                   else METRIC_ORDER)
     if not set(metric_set) <= set(METRIC_ORDER):
@@ -319,8 +333,7 @@ def cmd_report(args):
     elif args.shot_stats:
         stats_rows = []
         for path in sorted(Path(args.shot_stats).glob("*.json")):
-            ann = parse_annotations(read_json(path))
-            stats_rows.append(shot_stats(ann, args.fps))
+            stats_rows.append(shot_stats(read_annotation(path), args.fps))
         if not stats_rows:
             raise InputError(f"no annotation documents under {args.shot_stats}")
         write_table(args.out, ["clip_id", "sequence_length_s", "longest_s", "shortest_s",

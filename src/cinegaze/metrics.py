@@ -28,6 +28,7 @@ with it bit for bit.
 from __future__ import annotations
 
 import math
+import threading
 from enum import Enum
 from typing import Sequence
 
@@ -37,6 +38,9 @@ from .core import FixationMap
 from .errors import CinegazeError, InputError, UndefinedValueError
 
 KLD_EPSILON = 1e-7
+#: pixels per block of AUC-Judd's count: the block's sorted values, at
+#: most 64 KiB, are its largest temporary
+AUC_JUDD_BLOCK = 1 << 13
 
 
 class Metric(str, Enum):
@@ -199,10 +203,17 @@ def _fixated_roc(flat: np.ndarray, fpos: np.ndarray) -> tuple:
 def _auc_judd(flat: np.ndarray, fpos: np.ndarray) -> float:
     fix_sorted, thresholds, n_tp = _fixated_roc(flat, fpos)
     # no threshold lies below the lowest fixated value, so only the pixels
-    # at or above it are sorted; negatives are all of them minus fixations
-    above = flat[flat >= fix_sorted[0]]
-    above.sort()
-    n_fp = _at_or_above(above, thresholds) - n_tp
+    # at or above it are sorted, one block at a time; the counts at or
+    # above each threshold add up to those of one sort of them all, and
+    # negatives are all of them minus fixations
+    lowest = fix_sorted[0]
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    for start in range(0, flat.size, AUC_JUDD_BLOCK):
+        block = flat[start:start + AUC_JUDD_BLOCK]
+        above = block[block >= lowest]
+        above.sort()
+        counts += _at_or_above(above, thresholds)
+    n_fp = counts - n_tp
     return float(_roc_areas(n_tp, fpos.size, n_fp[None, :], flat.size - fpos.size)[0])
 
 
@@ -301,6 +312,32 @@ def kld(p, q, epsilon: float = KLD_EPSILON) -> float:
     return _kld(*_unit(pv[on], _mass(pv), qs, q_sum, "kld"), epsilon)
 
 
+class _Helper(threading.Thread):
+    """``fn(*args)`` on a thread of its own, started at once. ``result()``
+    joins it and returns the value, or the CinegazeError it raised; any
+    other exception is raised again in the caller."""
+
+    def __init__(self, fn, *args):
+        super().__init__(daemon=True)
+        self._call = (fn, args)
+        self._outcome = None
+        self.start()
+
+    def run(self):
+        fn, args = self._call
+        try:
+            self._outcome = (True, fn(*args))
+        except BaseException as exc:  # handed to the caller by result()
+            self._outcome = (False, exc)
+
+    def result(self):
+        self.join()
+        ok, value = self._outcome
+        if ok or isinstance(value, CinegazeError):
+            return value
+        raise value
+
+
 def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
                 splits: int = 100, *, seed: int) -> dict:
     """Every metric in ``metric_set`` for one frame: {name: value or error}.
@@ -315,6 +352,11 @@ def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
     its values on the support (CC, SIM, KLD) and the fixated pixels'
     positions (NSS and both AUCs). Maps of different dimensions raise
     InputError.
+
+    AUC-Judd is counted on a helper thread while the other metrics are
+    scored; numpy releases the GIL in its sorts and compares, so the two
+    lanes use two cores. The helper only reads the prediction, calls no
+    public function, and is joined before this returns.
     """
     wanted = {Metric(m).value for m in metric_set}
     p, q = _paired(pred, gt)
@@ -328,41 +370,47 @@ def score_frame(pred, gt, fmap: FixationMap, metric_set: Sequence[str],
         except CinegazeError as exc:
             scores[name] = exc
 
-    # one sum gives the mean (CC, NSS) and the mass (SIM, KLD); one gather
-    # gives the prediction on the support (CC, then SIM and KLD in place).
-    # The full-grid deviations are summed and dropped before the gather,
-    # and every other temporary is dropped as soon as the metrics that
-    # share it are scored, which keeps the peak memory of a frame low
-    if wanted & {"CC", "NSS", "SIM", "KLD"}:
-        p_sum = _mass(p)
-        mean = p_sum / p.size
-    if wanted & {"CC", "NSS"}:
-        ssp = _squares(p, mean)
-    if "NSS" in wanted:
-        score("NSS", _nss, flat[fpos] - mean, ssp, p.size)
-    if wanted & {"CC", "SIM", "KLD"}:
-        on, qs, q_sum = _support(q)
-        ps = p[on]
-        del on
-    if "CC" in wanted:
-        score("CC", _cc, ps, mean, ssp, p.size, qs, q_sum)
-    unit = [m for m in ("SIM", "KLD") if m in wanted]
-    if unit:
-        try:
-            pn, qn = _unit(ps, p_sum, qs, q_sum, unit[0].lower())
-        except InputError:
-            for name in unit:  # the same check, raised with each one's message
-                score(name, _unit, ps, p_sum, qs, q_sum, name.lower())
-        else:
-            if "SIM" in wanted:
-                score("SIM", _sim, pn, qn)
-            if "KLD" in wanted:
-                score("KLD", _kld, pn, qn, KLD_EPSILON)
-            del pn, qn
-    if wanted & {"CC", "SIM", "KLD"}:
-        del ps, qs
-    if "AUC_J" in wanted:
-        score("AUC_J", _auc_judd, flat, fpos)
-    if "AUC_B" in wanted:
-        score("AUC_B", _auc_borji, flat, fpos, 1, splits, seed)
-    return scores
+    judd = _Helper(_auc_judd, flat, fpos) if "AUC_J" in wanted else None
+    try:
+        # one sum gives the mean (CC, NSS) and the mass (SIM, KLD); one
+        # gather gives the prediction on the support (CC, then SIM and KLD
+        # in place). The full-grid deviations are summed and dropped before
+        # the gather, and every other temporary is dropped as soon as the
+        # metrics that share it are scored, which keeps the peak memory of
+        # a frame low
+        if wanted & {"CC", "NSS", "SIM", "KLD"}:
+            p_sum = _mass(p)
+            mean = p_sum / p.size
+        if wanted & {"CC", "NSS"}:
+            ssp = _squares(p, mean)
+        if "NSS" in wanted:
+            score("NSS", _nss, flat[fpos] - mean, ssp, p.size)
+        if wanted & {"CC", "SIM", "KLD"}:
+            on, qs, q_sum = _support(q)
+            ps = p[on]
+            del on
+        if "CC" in wanted:
+            score("CC", _cc, ps, mean, ssp, p.size, qs, q_sum)
+        unit = [m for m in ("SIM", "KLD") if m in wanted]
+        if unit:
+            try:
+                pn, qn = _unit(ps, p_sum, qs, q_sum, unit[0].lower())
+            except InputError:
+                for name in unit:  # the same check, raised with each one's message
+                    score(name, _unit, ps, p_sum, qs, q_sum, name.lower())
+            else:
+                if "SIM" in wanted:
+                    score("SIM", _sim, pn, qn)
+                if "KLD" in wanted:
+                    score("KLD", _kld, pn, qn, KLD_EPSILON)
+                del pn, qn
+        if wanted & {"CC", "SIM", "KLD"}:
+            del ps, qs
+        if judd is not None:
+            scores["AUC_J"] = judd.result()
+        if "AUC_B" in wanted:
+            score("AUC_B", _auc_borji, flat, fpos, 1, splits, seed)
+        return scores
+    finally:
+        if judd is not None:
+            judd.join()  # also when another metric raised

@@ -16,6 +16,7 @@ import numpy as np
 MAX_MAP_SIDE = 32        # metric and window-congruency instances
 MAX_CONV_SIDE = 64       # direct convolution instances
 MAX_RESIZE_SIDE = 2048   # resize instances: the four-corner formula is vectorized
+MAX_SORT_PIXELS = 1 << 16  # one-sort AUC-Judd instances
 MAX_OBSERVERS = 8
 MAX_FRAMES = 50
 
@@ -158,6 +159,31 @@ def auc_judd_oracle(s, fix_pixels):
     neg_vals = [s[y, x] for y in range(s.shape[0]) for x in range(s.shape[1])
                 if (x, y) not in fix_set]
     return _trapezoid(_roc_points(fix_vals, neg_vals))
+
+
+def auc_judd_one_sort(s, fix_pixels):
+    """AUC-Judd the way the library computed it before it counted in
+    blocks: one sort of every pixel at or above the lowest fixated value,
+    exact integer counts from one ``searchsorted`` over all thresholds,
+    and the trapezoids summed by ``np.cumsum``. Bit for bit, not just
+    close, is what the library must match here."""
+    s = np.asarray(s, dtype=float)
+    if s.size > MAX_SORT_PIXELS:
+        raise ValueError(f"oracle refuses a {s.size}-pixel instance (cap {MAX_SORT_PIXELS})")
+    flat = s.ravel()
+    fpos = np.array(sorted({y * s.shape[1] + x for (x, y) in fix_pixels}), dtype=np.int64)
+    nfix, nneg = fpos.size, flat.size - fpos.size
+    fix_sorted = np.sort(flat[fpos])
+    thresholds = fix_sorted[::-1]
+    above = np.sort(flat[flat >= fix_sorted[0]])
+
+    def at_or_above(sorted_vals):
+        return sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side="left")
+
+    n_tp = at_or_above(fix_sorted)
+    tp = np.concatenate(([0.0], n_tp / nfix, [1.0]))
+    fp = np.concatenate(([0.0], (at_or_above(above) - n_tp) / nneg, [1.0]))
+    return float(np.cumsum((fp[1:] - fp[:-1]) * (tp[1:] + tp[:-1]) / 2.0)[-1])
 
 
 def auc_borji_oracle(s, fix_pixels, negatives_per_fixation, splits, seed):

@@ -1,10 +1,11 @@
 import json
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cinegaze import bench
+from cinegaze import bench, metrics
 from cinegaze.annotations import parse_annotations
 from cinegaze.bench import (DirectoryPredictions, ReportFormat, ScoreRow,
                             aggregate_by_annotation, benchmark_model,
@@ -13,7 +14,7 @@ from cinegaze.bench import (DirectoryPredictions, ReportFormat, ScoreRow,
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import write_float_grid, write_map
-from cinegaze.ingest import fixation_map_for_frame
+from cinegaze.ingest import CleanedFixations, fixation_map_for_frame
 from cinegaze.metrics import auc_borji, auc_judd, cc, kld, nss, sim
 from cinegaze.saliency import blur_fixations, center_prior, make_kernel, resize_bilinear
 
@@ -180,6 +181,29 @@ class TestBenchmarkModel:
             tracemalloc.stop()
         assert not result.errors and len(result.rows) == 6 * 6
         assert peak <= 1_839_282, peak
+
+    def test_error_on_the_auc_judd_helper_stops_the_run(self, clip, kernel, rng,
+                                                         monkeypatch):
+        def broken(*args):
+            raise RuntimeError("kernel broke")
+        monkeypatch.setattr(metrics, "_auc_judd", broken)
+        threads = threading.active_count()
+        predictions = {f: rng.random((32, 48)) for f in range(10)}
+        with pytest.raises(RuntimeError, match="kernel broke"):
+            benchmark_model(predictions, clip, kernel, aucb_seed=5)
+        assert threading.active_count() == threads
+
+    def test_every_pixel_fixated_is_a_frame_error(self, kernel, rng):
+        # frame 1 fixates all four pixels of a 2x2 clip
+        points = {0: [(0.0, 0.0)], 1: [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]}
+        tiny = CleanedFixations("tiny", 2, 2, 2, {"obs": points})
+        predictions = {f: rng.random((2, 2)) for f in range(2)}
+        result = benchmark_model(predictions, tiny, kernel, aucb_seed=5,
+                                 metric_set=("AUC_J", "AUC_B"))
+        assert result.errors == [
+            (1, "AUC_J: AUC requires at least one non-fixated pixel"),
+            (1, "AUC_B: AUC requires at least one non-fixated pixel")]
+        assert [(r.frame_index, r.metric) for r in result.rows] == [(0, "AUC_J"), (0, "AUC_B")]
 
     def test_labels_joined_from_annotation(self, clip, kernel, rng):
         ann = annotation_for(clip)

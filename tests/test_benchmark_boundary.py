@@ -7,13 +7,16 @@ shapes against the package, so a rename shows up here first."""
 import ast
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from cinegaze import bench
 from cinegaze.bench import benchmark_model
 from cinegaze.core import ClipMeta, SaliencyMap
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
+from cinegaze.gridio import write_float_grid
 from cinegaze.ingest import fixation_map_for_frame
 from cinegaze.ioc import IocConfig, loo_window_ioc, read_ioc_series, write_ioc_series
 from cinegaze.metrics import cc, nss
@@ -87,3 +90,33 @@ def test_return_shapes_the_benchmark_reads(tmp_path):
                              metric_set=("CC",))
     assert {row.frame_index for row in result.rows} <= set(range(8))
     assert isinstance(result.errors, list)
+
+
+def test_every_traced_call_runs_on_the_calling_thread(tmp_path):
+    # the tracer keeps one span stack, so a public function called from
+    # score_frame's helper thread would corrupt the traced runs
+    spans = load_spans()
+    calls = []
+
+    class ThreadTracer(spans.Tracer):
+        def open(self, name, attrs=None):
+            calls.append((name, threading.get_ident()))
+            return super().open(name, attrs)
+    fix = generate_scanpaths(ScanpathFixture(seed=2, n_observers=3, frame_count=6,
+                                             width=48, height=32, congruency=0.9,
+                                             cluster_sigma=1.0))
+    rng = np.random.default_rng(3)
+    for f in range(6):
+        write_float_grid(tmp_path / f"{f:06d}.f32", rng.random((16, 24)))
+    undo = spans.install(ThreadTracer())
+    try:
+        # through the module, where the tracer rebinds it
+        result = bench.benchmark_model(bench.DirectoryPredictions(tmp_path), fix,
+                                       make_kernel(1.5))
+    finally:
+        spans.uninstall(undo)
+    assert not result.errors and len(result.rows) == 6 * 6
+    names = {name for name, _ in calls}
+    assert {"bench.benchmark_model", "saliency.blur_fixations", "saliency.resize_bilinear",
+            "gridio.read_map", "ingest.fixation_map_for_frame"} <= names, names
+    assert {ident for _, ident in calls} == {threading.get_ident()}

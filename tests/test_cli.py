@@ -524,6 +524,30 @@ def _bad_input_argv(name, d: Path) -> list:
                                           _predictions(d), "--annotation", bad,
                                           "--out", str(d / "s.csv")],
         }[name]
+    if name.endswith("_annotation_mismatch"):
+        make_annotation(d / "ann.json")
+        doc = json.loads((d / "ann.json").read_text())
+        if name == "shorter_annotation_mismatch":  # scored frames 0-4, then stopped
+            doc["frame_count"] = 5
+            doc["shots"] = [{"start": 0, "end": 5, "motions": ["Static"], "angle": "Eye",
+                             "size": "CU"}]
+        elif name.startswith(("other_clip", "ioc_other_clip")):  # labelled every score
+            doc["clip_id"] = "another_clip"
+        else:
+            doc["frame_width"] = W * 2
+        (d / "ann.json").write_text(json.dumps(doc))
+        if name.startswith("ioc_"):
+            return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
+                    "--cut-drop", str(d / "cuts.csv"), "--annotation", str(d / "ann.json")]
+        return ["bench", "--fixations", fix, "--predictions", _predictions(d),
+                "--annotation", str(d / "ann.json"), "--out", str(d / "s.csv")]
+    if name == "shot_stats_schema_version_2":
+        (d / "ann").mkdir()
+        for clip in ("a", "b", "c"):
+            make_annotation(d / "ann" / f"{clip}.json")
+        doc = json.loads((d / "ann" / "b.json").read_text())
+        (d / "ann" / "b.json").write_text(json.dumps({**doc, "schema_version": 2}))
+        return ["report", "--shot-stats", str(d / "ann"), "--out", str(d / "shots.csv")]
     if name == "per_frame_missing_fixations":
         return ["saliency", "--fixations", str(d / "nonexist.csv"), "--out-dir", str(d / "o"),
                 "--frames", "0:3"]
@@ -561,7 +585,10 @@ def _bad_input_argv(name, d: Path) -> list:
     "pgm_header_not_a_number", "frames_file_boolean", "frames_file_negative",
     "per_frame_two_clips", "frames_file_not_json", "meta_not_json", "colmap_not_json",
     "config_not_json", "ioc_annotation_not_json", "bench_annotation_not_json",
-    "per_frame_missing_fixations", "bias_average_nan", "bias_prior_negative"])
+    "per_frame_missing_fixations", "bias_average_nan", "bias_prior_negative",
+    "shorter_annotation_mismatch", "other_clip_annotation_mismatch",
+    "other_grid_annotation_mismatch", "ioc_other_clip_annotation_mismatch",
+    "shot_stats_schema_version_2"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     make_raw_gaze(tmp_path / "gaze.csv", make_meta(tmp_path / "meta.json"))
     assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
@@ -576,6 +603,12 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
         assert argv[argv.index("--frames-file") + 1] in err[0]
     if name.endswith("_not_json"):
         assert str(tmp_path / "bad.json") in err[0]
+    if name.endswith("_annotation_mismatch"):  # both files named
+        assert str(tmp_path / "ann.json") in err[0]
+        assert argv[argv.index("--fixations") + 1] in err[0]
+    if name == "shot_stats_schema_version_2":
+        assert err[0] == (f"error: {tmp_path / 'ann' / 'b.json'}: "
+                          "unsupported schema_version 2, expected 1")
     assert not (tmp_path / "s.csv").exists()
     # --average names an output of saliency and an input of report --bias
     outputs = ("--out", "--cut-drop") + (("--average",) if argv[0] == "saliency" else ())

@@ -1,8 +1,11 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from cinegaze import metrics
 from cinegaze.core import FixationMap
 from cinegaze.errors import CinegazeError, InputError, UndefinedValueError
 from cinegaze.ingest import build_fixation_map
@@ -11,8 +14,8 @@ from cinegaze.metrics import (KLD_EPSILON, auc_borji, auc_judd, cc, kld, nss,
 from cinegaze.saliency import blur_fixations, make_kernel
 
 from conftest import random_metric_instance
-from oracles import (auc_borji_oracle, auc_borji_split_loop, auc_judd_oracle, cc_oracle,
-                     kld_oracle, nss_oracle, sim_oracle)
+from oracles import (auc_borji_oracle, auc_borji_split_loop, auc_judd_one_sort,
+                     auc_judd_oracle, cc_oracle, kld_oracle, nss_oracle, sim_oracle)
 
 
 def fixation_map(pixels, w=16, h=16):
@@ -144,6 +147,61 @@ class TestAucJudd:
         everything = [(x, y) for x in range(3) for y in range(3)]
         with pytest.raises(InputError):
             auc_judd(s, fixation_map(everything, 3, 3))
+
+
+class TestAucJuddBlocks:
+    """AUC-Judd counted block by block equals one sort of every pixel."""
+
+    def pixels(self, shape, flat):
+        return [(int(i % shape[1]), int(i // shape[1])) for i in flat]
+
+    def check(self, s, pixels, oracle=False):
+        got = auc_judd(s, fixation_map(pixels, s.shape[1], s.shape[0]))
+        assert got == auc_judd_one_sort(s, pixels)
+        if oracle:
+            assert got == auc_judd_oracle(s, pixels)
+        frame = score_frame(s, s, fixation_map(pixels, s.shape[1], s.shape[0]), ("AUC_J",),
+                            seed=0)
+        assert frame["AUC_J"] == got
+        return got
+
+    def cases(self, rng, block):
+        # (grid, fixated flat positions) around the block's edges: flat sizes
+        # block - 1, block, block + 1 and 2 * block + 1, fixations only in
+        # the last, partial block, the lowest fixated value at the global
+        # minimum, and ties straddling a block boundary
+        for size in (block - 1, block, block + 1, 2 * block + 1):
+            s = rng.random((1, size))
+            yield s, rng.choice(size, size=max(2, size // 50), replace=False)
+            yield np.round(s, 1).reshape(-1, 1), rng.choice(size, size=3, replace=False)
+        size = 2 * block + 5
+        s = rng.random((1, size))
+        yield s, [2 * block, 2 * block + 2, 2 * block + 4]
+        s = rng.random((1, size))
+        low = int(np.argmin(s))
+        yield s, [low, (low + block) % size]
+        s = rng.random((1, size))
+        s[0, block - 3:block + 3] = 0.25  # one tie across the boundary
+        s[0, 2 * block - 1:2 * block + 2] = s[0, 7]
+        yield s, [block - 2, block + 1, 7, size - 1]
+
+    def test_real_block_equals_one_sort(self, rng):
+        for s, flat in self.cases(rng, metrics.AUC_JUDD_BLOCK):
+            self.check(s, self.pixels(s.shape, flat))
+
+    def test_small_block_equals_one_sort_and_oracle(self, rng, monkeypatch):
+        monkeypatch.setattr(metrics, "AUC_JUDD_BLOCK", 8)
+        for s, flat in self.cases(rng, 8):
+            s = s.reshape(-1, 3) if s.size % 3 == 0 else s.reshape(1, -1)
+            self.check(s, self.pixels(s.shape, flat), oracle=True)
+        for style in (0, 1, 2) * 3:
+            s, _, pixels = random_metric_instance(rng, side=12, style=style)
+            self.check(s, pixels, oracle=True)
+
+    def test_a_block_of_one_pixel(self, rng, monkeypatch):
+        monkeypatch.setattr(metrics, "AUC_JUDD_BLOCK", 1)
+        s = np.round(rng.random((5, 7)), 1)
+        self.check(s, [(0, 0), (6, 4), (3, 2)], oracle=True)
 
 
 class TestAucBorji:
@@ -408,6 +466,55 @@ class TestScoreFrame:
         s, q = rng.random((8, 8)), rng.random((8, 8))
         got = score_frame(s, q, fixation_map([(1, 1)], 8, 8), ("KLD", "AUC_J"), seed=0)
         assert set(got) == {"KLD", "AUC_J"}
+
+    def test_fixed_key_order_whatever_the_helper_takes(self, rng, monkeypatch):
+        s, q = rng.random((8, 8)), rng.random((8, 8))
+        fmap = fixation_map([(1, 1), (5, 2)], 8, 8)
+        fast = score_frame(s, q, fmap, ALL_METRICS, seed=0)
+        real = metrics._auc_judd
+
+        def slow(*args):
+            time.sleep(0.05)
+            return real(*args)
+        monkeypatch.setattr(metrics, "_auc_judd", slow)
+        assert list(score_frame(s, q, fmap, ALL_METRICS, seed=0)) == list(fast)
+        assert list(fast) == ["NSS", "CC", "SIM", "KLD", "AUC_J", "AUC_B"]
+
+    def test_helper_reads_the_prediction_only(self, rng):
+        s, q = rng.random((8, 8)), rng.random((8, 8))
+        fmap = fixation_map([(1, 1), (5, 2)], 8, 8)
+        want = score_frame(s, q, fmap, ALL_METRICS, seed=0)
+        s.flags.writeable = False  # a write on either lane would raise
+        assert score_frame(s, q, fmap, ALL_METRICS, seed=0) == want
+
+    def test_other_error_on_the_helper_reaches_the_caller(self, rng, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("kernel broke")
+        monkeypatch.setattr(metrics, "_auc_judd", broken)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="kernel broke"):
+            score_frame(rng.random((8, 8)), rng.random((8, 8)),
+                        fixation_map([(1, 1)], 8, 8), ALL_METRICS, seed=0)
+        assert threading.active_count() == threads
+
+    def test_helper_joined_when_another_metric_raises(self, rng, monkeypatch):
+        done = []
+        real = metrics._auc_judd
+
+        def slow(*args):
+            time.sleep(0.05)
+            done.append(real(*args))
+            return done[-1]
+
+        def broken(*args):
+            raise RuntimeError("cc broke")
+        monkeypatch.setattr(metrics, "_auc_judd", slow)
+        monkeypatch.setattr(metrics, "_cc", broken)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="cc broke"):
+            score_frame(rng.random((8, 8)), rng.random((8, 8)),
+                        fixation_map([(1, 1)], 8, 8), ALL_METRICS, seed=0)
+        assert len(done) == 1 and threading.active_count() == threads
 
     def test_dimension_mismatch_raises(self, rng):
         with pytest.raises(InputError):
