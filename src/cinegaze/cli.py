@@ -138,10 +138,9 @@ def _annotation_of(path, cleaned, fixations_path):
     mine = (ann.clip_id, ann.frame_count, ann.frame_width, ann.frame_height)
     theirs = (cleaned.clip_id, cleaned.frame_count, cleaned.width, cleaned.height)
     if mine != theirs:
-        def clip(c, frames, w, h):
-            return f"clip {c!r}, {frames} frames of {w}x{h}"
-        raise InputError(f"{path} annotates {clip(*mine)}, but {fixations_path} holds "
-                         f"{clip(*theirs)}")
+        clip = "clip {!r}, {} frames of {}x{}"
+        raise InputError(f"{path} annotates {clip.format(*mine)}, but {fixations_path} "
+                         f"holds {clip.format(*theirs)}")
     return ann
 
 
