@@ -2,6 +2,7 @@
 interleaved pairs; tier-1 never runs the benchmark itself."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,29 @@ def test_summary_medians_quartiles_and_wins(pairs_tool):
     # ties are not wins
     assert summary["peak_rss_mb"]["change_won"] == 1
     assert summary["setup_s"]["change_won"] == 2
+
+
+def test_workloads_are_the_declared_ones(pairs_tool):
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert pairs_tool.declared_workloads() == [w["name"] for w in declared["workloads"]]
+
+
+def test_tree_facts_digest_the_benchmark_apart_from_the_code(pairs_tool, tmp_path):
+    trees = []
+    for name in ("a", "b"):
+        tree = tmp_path / name
+        (tree / "src").mkdir(parents=True)
+        (tree / "perfbench").mkdir()
+        (tree / "src" / "m.py").write_text("x = 1\n")
+        (tree / "perfbench" / "run.py").write_text("y = 1\n")
+        (tree / "BENCHMARK.json").write_text("{}\n")
+        trees.append(tree)
+    a, b = (pairs_tool.tree_facts(tree) for tree in trees)
+    assert a == b
+    (trees[1] / "BENCHMARK.json").write_text('{"run_seconds": 10}\n')
+    b = pairs_tool.tree_facts(trees[1])
+    assert b["src_sha256"] == a["src_sha256"]
+    assert b["benchmark_sha256"] != a["benchmark_sha256"]
+    (trees[1] / "perfbench" / "__pycache__").mkdir()
+    (trees[1] / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"\0")
+    assert pairs_tool.tree_facts(trees[1]) == b

@@ -9,12 +9,15 @@ from its own root, as the benchmark expects:
     python3 tools/bench_pairs.py --base ../parent --change . --label auc_judd_blocks \\
         --workloads model_bench --seeds 1 9001 --pairs 10
 
-It writes ``BENCH_<label>.json`` (``--out`` to choose another path): each
-tree's commit and a digest of its ``src/``, the machine facts that
-``run.py`` prints, and per workload and seed every run's ``wall_s``,
-``peak_rss_mb`` and ``setup_s`` with their medians, quartiles and the
-pairs the change won. Lower is better for all three. The file reports the
-spread of each side as measured; nothing is dropped or re-run.
+The workloads are those that ``BENCHMARK.json`` declares, and ``run.py``
+runs with its own defaults (the benchmark's run length, untraced). It
+writes ``BENCH_<label>.json``: each tree's commit, a digest of its
+``src/`` and a digest of its benchmark (``perfbench/`` and
+``BENCHMARK.json``), whether the two benchmark digests match, the machine
+facts that ``run.py`` prints, and per workload and seed every run's
+``wall_s``, ``peak_rss_mb`` and ``setup_s`` with their medians, quartiles
+and the pairs the change won. Lower is better for all three. The file
+reports the spread of each side as measured; nothing is dropped or re-run.
 """
 
 from __future__ import annotations
@@ -28,9 +31,15 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "peak_rss_mb", "setup_s")
-WORKLOADS = ("congruency_dense", "model_bench", "dataset_prep")
 SEEDS = (1, 9001)
+
+
+def declared_workloads(root: Path = ROOT) -> list:
+    """The workload names that ``BENCHMARK.json`` under ``root`` declares."""
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    return [w["name"] for w in declared["workloads"]]
 
 
 def parse_run(stdout: str) -> dict:
@@ -83,22 +92,30 @@ def order(pair_index: int) -> tuple:
     return ("base", "change") if pair_index % 2 == 0 else ("change", "base")
 
 
+def digest(tree: Path, tops) -> str:
+    """SHA-256 of every file (path and bytes) under the paths ``tops`` of
+    ``tree``, files or directories, ``__pycache__`` left out."""
+    sha = hashlib.sha256()
+    for top in tops:
+        path = tree / top
+        for file in [path] if path.is_file() else sorted(path.rglob("*")):
+            if file.is_file() and "__pycache__" not in file.parts:
+                sha.update(str(file.relative_to(tree)).encode() + b"\0" + file.read_bytes())
+    return sha.hexdigest()
+
+
 def tree_facts(tree: Path) -> dict:
-    """The tree's git commit (None outside a git checkout) and a digest of
-    every file under its ``src/``, which names exactly the code measured."""
+    """The tree's git commit (None outside a git checkout) and digests of
+    the code measured (``src/``) and of the benchmark that measured it."""
     proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     commit = proc.stdout.strip() if proc.returncode == 0 else None
-    digest = hashlib.sha256()
-    for path in sorted((tree / "src").rglob("*")):
-        if path.is_file() and "__pycache__" not in path.parts:
-            digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
-    return {"commit": commit, "src_sha256": digest.hexdigest()}
+    return {"commit": commit, "src_sha256": digest(tree, ["src"]),
+            "benchmark_sha256": digest(tree, ["perfbench", "BENCHMARK.json"])}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: {' '.join(cmd[1:])} exited {proc.returncode}:\n"
@@ -111,16 +128,19 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, type=Path, help="tree before the change")
     parser.add_argument("--change", required=True, type=Path, help="tree with the change")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
+    workloads = declared_workloads()
+    parser.add_argument("--workloads", nargs="+", default=workloads, choices=workloads)
     parser.add_argument("--seeds", nargs="+", type=int, default=list(SEEDS))
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
-    out = args.out or Path(f"BENCH_{args.label}.json")
-    doc = {"label": args.label, "seconds": args.seconds,
-           "trees": {side: tree_facts(tree) for side, tree in trees.items()},
+    out = Path(f"BENCH_{args.label}.json")
+    facts = {side: tree_facts(tree) for side, tree in trees.items()}
+    same = facts["base"]["benchmark_sha256"] == facts["change"]["benchmark_sha256"]
+    if not same:
+        print("warning: the two trees run different benchmarks (perfbench/ or "
+              "BENCHMARK.json differ)", file=sys.stderr, flush=True)
+    doc = {"label": args.label, "trees": facts, "same_benchmark": same,
            "facts": None, "workloads": {}}
     for workload in args.workloads:
         for seed in args.seeds:
@@ -128,7 +148,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 pair = {}
                 for side in order(i):
-                    pair[side] = run_once(trees[side], workload, seed, args.seconds)
+                    pair[side] = run_once(trees[side], workload, seed)
                     doc["facts"] = doc["facts"] or pair[side]["facts"]
                 pairs.append(pair)
                 wall = [pair[s]["metrics"]["wall_s"] for s in ("base", "change")]
