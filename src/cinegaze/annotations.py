@@ -183,38 +183,42 @@ def parse_annotations(doc) -> ClipAnnotation:
         if key not in doc:
             raise ValidationError(f"annotation document missing field {key!r}")
     clip_id = str(doc["clip_id"])
-    shots = []
-    for i, s in enumerate(doc["shots"]):
-        ctx = f"{clip_id} shot {i}"
-        for key in ("start", "end", "motions", "angle", "size"):
-            if key not in s:
-                raise ValidationError(f"{ctx}: missing field {key!r}")
-        motions = frozenset(_enum_value(CameraMotion, m, ctx) for m in s["motions"])
-        direction = s.get("motion_direction")
-        shots.append(Shot(
-            start=int(s["start"]),
-            end=int(s["end"]),
-            motions=motions,
-            angle=_enum_value(CameraAngle, s["angle"], ctx),
-            size=_enum_value(ShotSize, s["size"], ctx),
-            motion_direction=(_enum_value(MotionDirection, direction, ctx)
-                              if direction is not None else None),
-        ))
-    faces = {}
-    for key, boxes in doc.get("faces", {}).items():
-        try:
-            frame = int(key)
-        except ValueError:
-            raise ValidationError(f"{clip_id}: face frame key {key!r} is not an integer") from None
-        faces[frame] = tuple(FaceBox(*[float(v) for v in b]) for b in boxes)
-    return ClipAnnotation(
-        clip_id=clip_id,
-        frame_count=int(doc["frame_count"]),
-        frame_width=int(doc["frame_width"]),
-        frame_height=int(doc["frame_height"]),
-        shots=tuple(shots),
-        faces=faces,
-    )
+    # the context of the field being read, for a value of the wrong type
+    ctx = f"{clip_id} shots"
+    try:
+        shots = []
+        for i, s in enumerate(doc["shots"]):
+            ctx = f"{clip_id} shot {i}"
+            for key in ("start", "end", "motions", "angle", "size"):
+                if key not in s:
+                    raise ValidationError(f"{ctx}: missing field {key!r}")
+            motions = frozenset(_enum_value(CameraMotion, m, ctx) for m in s["motions"])
+            direction = s.get("motion_direction")
+            shots.append(Shot(
+                start=int(s["start"]),
+                end=int(s["end"]),
+                motions=motions,
+                angle=_enum_value(CameraAngle, s["angle"], ctx),
+                size=_enum_value(ShotSize, s["size"], ctx),
+                motion_direction=(_enum_value(MotionDirection, direction, ctx)
+                                  if direction is not None else None),
+            ))
+        ctx = f"{clip_id} faces"
+        faces = {}
+        for key, boxes in doc.get("faces", {}).items():
+            ctx = f"{clip_id} faces of frame {key!r}"
+            faces[int(key)] = tuple(FaceBox(*[float(v) for v in b]) for b in boxes)
+        ctx = clip_id
+        return ClipAnnotation(
+            clip_id=clip_id,
+            frame_count=int(doc["frame_count"]),
+            frame_width=int(doc["frame_width"]),
+            frame_height=int(doc["frame_height"]),
+            shots=tuple(shots),
+            faces=faces,
+        )
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"{ctx}: malformed field ({exc})") from None
 
 
 def read_annotation(path) -> ClipAnnotation:

@@ -131,16 +131,23 @@ def _stamp(header: dict) -> dict:
     return {key: header[key] for key in ("tool_version", "config_hash")}
 
 
+def _of_clip(path, clip: tuple, cleaned, fixations_path) -> None:
+    """InputError naming both files unless ``clip``, the (clip id, frame
+    count, frame width, frame height) that the file ``path`` describes, is
+    the clip of the fixation file."""
+    theirs = (cleaned.clip_id, cleaned.frame_count, cleaned.width, cleaned.height)
+    if clip != theirs:
+        text = "clip {!r}, {} frames of {}x{}"
+        raise InputError(f"{path} describes {text.format(*clip)}, but {fixations_path} "
+                         f"holds {text.format(*theirs)}")
+
+
 def _annotation_of(path, cleaned, fixations_path):
     """The annotation document at ``path``, which must describe the clip of
-    the fixation file: the same clip id, frame count and frame grid."""
+    the fixation file (``_of_clip``)."""
     ann = read_annotation(path)
-    mine = (ann.clip_id, ann.frame_count, ann.frame_width, ann.frame_height)
-    theirs = (cleaned.clip_id, cleaned.frame_count, cleaned.width, cleaned.height)
-    if mine != theirs:
-        clip = "clip {!r}, {} frames of {}x{}"
-        raise InputError(f"{path} annotates {clip.format(*mine)}, but {fixations_path} "
-                         f"holds {clip.format(*theirs)}")
+    _of_clip(path, (ann.clip_id, ann.frame_count, ann.frame_width, ann.frame_height),
+             cleaned, fixations_path)
     return ann
 
 
@@ -236,10 +243,12 @@ def cmd_ioc(args):
         raise InputError("--cut-drop needs --annotation for the cut list")
     meta = ClipMeta.from_dict(read_json(args.meta))
     cleaned = read_fixations(args.fixations)
+    _of_clip(args.meta, (meta.clip_id, meta.frame_count, meta.frame_width_px,
+                         meta.frame_height_px), cleaned, args.fixations)
     annotation = (_annotation_of(args.annotation, cleaned, args.fixations)
                   if args.annotation else None)
     cuts = cuts_of(annotation) if args.cut_drop else None
-    series = loo_window_ioc(cleaned, meta, cfg)
+    series = loo_window_ioc(cleaned, cfg)
     # every output is computed before the first is written
     summary = sequence_ioc_summary(series) if args.summary else None
     records = cut_drop_analysis(series, cuts, pre_frames=args.pre_frames,

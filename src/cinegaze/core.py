@@ -159,25 +159,14 @@ class GazeSample:
 
 @dataclass(frozen=True)
 class FixationMap:
-    """Per-frame binary grid of fixated pixels, stored as a point set.
+    """Per-frame binary grid of fixated pixels: their sorted, distinct
+    row-major positions ``y * width + x`` (int64), as
+    ``ingest.build_fixation_map`` builds and checks them; it is not
+    checked again."""
 
-    A pixel is fixated or not; duplicates collapse.
-    """
-
-    frame_index: int
     width: int
     height: int
-    points: frozenset  # of (x, y) integer pairs
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise InputError("FixationMap dimensions must be positive")
-        for (x, y) in self.points:
-            if not (0 <= x < self.width and 0 <= y < self.height):
-                raise InputError(f"fixation ({x}, {y}) outside {self.width}x{self.height} grid")
-
-    def __len__(self):
-        return len(self.points)
+    pixels: np.ndarray
 
 
 def finite_grid(values) -> np.ndarray:
@@ -229,17 +218,27 @@ def frame_to_display(fx: float, fy: float, meta: ClipMeta) -> tuple:
             a.y + fy * (a.h / meta.frame_height_px))
 
 
-def round_half_up(v: float) -> int:
-    """Nearest-integer rounding with half-up tie breaking."""
-    return int(math.floor(v + 0.5))
+def rasterize(xy, width: int, height: int) -> np.ndarray:
+    """Row-major pixel positions ``y * width + x`` (int64) of an n x 2
+    array of real-valued frame points: the one rule that rounds a point to
+    a pixel.
+
+    Coordinates round half up, and the last half pixel sticks to the grid
+    edge, so rounding never pushes an in-bounds point off the grid. The
+    first point outside the frame is an InputError.
+    """
+    xy = np.asarray(xy).reshape(-1, 2)
+    inside = ((xy >= 0) & (xy < (width, height))).all(axis=1)
+    if not inside.all():
+        x, y = xy[np.argmin(inside)].tolist()
+        raise InputError(f"point ({x}, {y}) outside {width}x{height} frame")
+    pix = xy + 0.5
+    np.floor(pix, out=pix)
+    np.minimum(pix, (width - 1, height - 1), out=pix)
+    pix = pix.astype(np.int64)
+    return pix[:, 1] * width + pix[:, 0]
 
 
 def rasterize_point(x: float, y: float, width: int, height: int) -> tuple:
-    """Round a real-valued in-bounds frame coordinate to its integer pixel.
-
-    Coordinates in the last half pixel stick to the grid edge so rounding
-    never pushes an in-bounds point off the grid.
-    """
-    if not (0 <= x < width and 0 <= y < height):
-        raise InputError(f"point ({x}, {y}) outside {width}x{height} frame")
-    return (min(round_half_up(x), width - 1), min(round_half_up(y), height - 1))
+    """``rasterize`` of one point, as its integer pixel (x, y)."""
+    return divmod(int(rasterize([(x, y)], width, height)[0]), width)[::-1]

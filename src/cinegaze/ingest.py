@@ -18,8 +18,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .core import (ClipMeta, FixationMap, GazeEvent, GazeSample, display_to_frame,
-                   frame_of, has_control_chars, rasterize_point)
+                   frame_of, has_control_chars, rasterize)
 from .errors import FormatError, InputError
 from .tables import read_json, read_table, write_table
 
@@ -59,8 +61,8 @@ class ObserverRecord:
 class CleanedFixations:
     """Frame-binned fixation points per observer, in frame pixels.
 
-    Coordinates stay real-valued here; rounding to integer pixels happens
-    when a FixationMap is built.
+    Coordinates stay real-valued here; they round to integer pixels
+    (``core.rasterize``) where a FixationMap is built, and in IOC.
     """
 
     clip_id: str
@@ -260,23 +262,22 @@ def clean_and_bin(records: Sequence[ObserverRecord], meta: ClipMeta,
     )
 
 
-def build_fixation_map(points: Iterable, width: int, height: int,
-                       frame_index: int = 0) -> FixationMap:
+def build_fixation_map(points: Iterable, width: int, height: int) -> FixationMap:
     """Binary fixation map from real-valued frame coordinates.
 
-    Points round to the nearest pixel (half up); duplicates collapse.
+    Points round to pixels by ``core.rasterize``; duplicates collapse.
     Out-of-bounds input points are an error.
     """
-    pixels = frozenset(rasterize_point(x, y, width, height) for (x, y) in points)
-    return FixationMap(frame_index=frame_index, width=width, height=height, points=pixels)
+    if width <= 0 or height <= 0:
+        raise InputError("FixationMap dimensions must be positive")
+    return FixationMap(width, height, np.unique(rasterize(list(points), width, height)))
 
 
 def fixation_map_for_frame(cleaned: CleanedFixations, frame: int) -> FixationMap:
     """All observers' fixations on one frame as a single binary map."""
     if not (0 <= frame < cleaned.frame_count):
         raise InputError(f"frame {frame} outside [0, {cleaned.frame_count})")
-    return build_fixation_map(cleaned.frame_points(frame), cleaned.width,
-                              cleaned.height, frame_index=frame)
+    return build_fixation_map(cleaned.frame_points(frame), cleaned.width, cleaned.height)
 
 
 def write_fixations(cleaned: CleanedFixations, path) -> None:

@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ClipMeta
+from .core import rasterize
 from .errors import FormatError, InputError
 from .ingest import CleanedFixations
 from .saliency import make_kernel
@@ -140,10 +140,9 @@ def _corr_table(k1: np.ndarray, r: int, length: int) -> np.ndarray:
 def _window_keys(fixations: CleanedFixations, width: int, height: int):
     """Frame indices and keys of every rasterized point.
 
-    A point of observer i (in ``observers()`` order) on pixel (x, y) gets
-    the key i * width * height + y * width + x, so sorted keys are grouped
-    by observer. Pixels are rounded half up, and the last half pixel
-    sticks to the grid edge, as ``core.rasterize_point`` does.
+    A point of observer i (in ``observers()`` order) on the pixel of
+    row-major position p (``core.rasterize``) gets the key
+    i * width * height + p, so sorted keys are grouped by observer.
     """
     frames, sizes, per_observer, points = [], [], [], []
     for obs in fixations.observers():
@@ -155,16 +154,8 @@ def _window_keys(fixations: CleanedFixations, width: int, height: int):
             points.extend(pts)
     xy = np.fromiter(itertools.chain.from_iterable(points), dtype=float,
                      count=2 * len(points)).reshape(-1, 2)
-    inside = ((xy >= 0) & (xy < (width, height))).all(axis=1)
-    if not inside.all():
-        px, py = points[int(np.argmin(inside))]
-        raise InputError(f"point ({px}, {py}) outside {width}x{height} frame")
-    xy += 0.5
-    np.floor(xy, out=xy)
-    np.minimum(xy, (width - 1, height - 1), out=xy)
     keys = np.repeat(np.arange(len(per_observer), dtype=np.int64) * (width * height), per_observer)
-    keys += xy[:, 1].astype(np.int64) * width
-    keys += xy[:, 0].astype(np.int64)
+    keys += rasterize(xy, width, height)
     return np.repeat(np.asarray(frames, dtype=np.int64), sizes), keys
 
 
@@ -330,30 +321,24 @@ class _PairSums:
         return by_row, by_col
 
 
-def loo_window_ioc(fixations: CleanedFixations, meta: ClipMeta,
-                   cfg: IocConfig = IocConfig()) -> IocSeries:
+def loo_window_ioc(fixations: CleanedFixations, cfg: IocConfig = IocConfig()) -> IocSeries:
     """Leave-one-out sliding-window congruency series for one clip.
 
     Every complete window [t, t + n) at stride 1 gets one score (or None
     when nothing is scorable). Requires at least ``cfg.min_observers``
     observers in the input and a window no longer than the clip.
     """
-    observers = fixations.observers()
-    n_obs = len(observers)
+    n_obs = len(fixations.observers())
     if n_obs < cfg.min_observers:
         raise InputError(
             f"{n_obs} observers present, leave-one-out needs at least {cfg.min_observers}")
-    width, height = meta.frame_width_px, meta.frame_height_px
-    if (width, height) != (fixations.width, fixations.height):
-        raise InputError(
-            f"fixations are on a {fixations.width}x{fixations.height} grid, "
-            f"meta says {width}x{height}")
     total_frames = fixations.frame_count
     n = cfg.n
     if n > total_frames:
         raise InputError(f"window of {n} frames is longer than the clip ({total_frames} frames)")
     counts, sums = _window_sums(fixations, n, make_kernel(cfg.sigma_px, cfg.truncation))
-    return IocSeries(fixations.clip_id, n, _scores(counts, sums, width * height))
+    return IocSeries(fixations.clip_id, n,
+                     _scores(counts, sums, fixations.width * fixations.height))
 
 
 def _window_sums(fixations: CleanedFixations, n: int, kernel) -> tuple:

@@ -79,10 +79,7 @@ def _fixated(f: FixationMap, shape) -> np.ndarray:
     if (f.height, f.width) != shape:
         raise InputError(
             f"fixation map is {f.width}x{f.height}, saliency map is {shape[1]}x{shape[0]}")
-    pos = np.fromiter((y * f.width + x for (x, y) in f.points), dtype=np.int64,
-                      count=len(f.points))
-    pos.sort()
-    return pos
+    return f.pixels
 
 
 # Kernels shared by the public functions and score_frame, so that both
@@ -290,9 +287,9 @@ def auc_borji(s, f: FixationMap, negatives_per_fixation: int = 1,
               splits: int = 100, *, seed: int) -> float:
     """AUC against random negatives, averaged over seeded resampling splits.
 
-    Each split draws ``len(f) * negatives_per_fixation`` negative locations
-    uniformly (with replacement) from the non-fixated pixels in row-major
-    order, using a generator owned by this call. Identical inputs and seed
+    Each split draws ``f.pixels.size * negatives_per_fixation`` negative
+    locations uniformly (with replacement) from the non-fixated pixels in
+    row-major order, using a generator owned by this call. Identical inputs and seed
     give a bit-identical result.
     """
     sv = _grid(s)

@@ -77,20 +77,23 @@ def stamp_kernel(grid: np.ndarray, weights: np.ndarray, x: int, y: int,
         grid[gy0:gy1, gx0:gx1] += amount * patch
 
 
-def _blur_points(xs, ys, amounts, width: int, height: int,
+def _blur_points(pixels: np.ndarray, amounts: np.ndarray, width: int, height: int,
                  kernel: GaussianKernel) -> np.ndarray:
     """Zero-padded blur of ``amounts[i]`` fixations at each distinct pixel
-    (``xs[i]``, ``ys[i]``) on a ``height`` x ``width`` grid.
+    of row-major position ``pixels[i]`` on a ``height`` x ``width`` grid.
 
-    Few pixels are rendered by stamping translated kernels, in the order
-    given; many fall back to two separable 1-D passes over a grid of the
-    amounts. Both routes are the same linear operator (pinned by tests).
+    Few pixels are rendered by stamping translated kernels, in (x, y)
+    order, which fixes the bits of the sums; many fall back to two
+    separable 1-D passes over a grid of the amounts. Both routes are the
+    same linear operator (pinned by tests).
     """
     k = kernel.size
     # cost of stamping vs. two full-grid separable passes
-    if len(xs) * k * k < 2 * width * height * k:
+    if pixels.size * k * k < 2 * width * height * k:
+        ys, xs = np.divmod(pixels, width)
+        by_x = np.lexsort((ys, xs))
         out = np.zeros((height, width))
-        for x, y, amount in zip(xs, ys, amounts):
+        for x, y, amount in zip(xs[by_x].tolist(), ys[by_x].tolist(), amounts[by_x].tolist()):
             stamp_kernel(out, kernel.weights, x, y, amount)
         return out
     # imported here, not at module level: loading scipy.ndimage adds ~20 MB
@@ -98,7 +101,7 @@ def _blur_points(xs, ys, amounts, width: int, height: int,
     from scipy.ndimage import correlate1d
 
     grid = np.zeros((height, width))
-    grid[ys, xs] = amounts
+    np.put(grid, pixels, amounts)
     tmp = correlate1d(grid, kernel.weights_1d, axis=0, mode="constant", cval=0.0)
     out = correlate1d(tmp, kernel.weights_1d, axis=1, mode="constant", cval=0.0)
     np.maximum(out, 0.0, out=out)  # clip correlate's -1e-17 dust
@@ -110,10 +113,7 @@ def blur_fixations(fmap: FixationMap, kernel: GaussianKernel) -> SaliencyMap:
 
     Output dimensions equal the input's.
     """
-    points = sorted(fmap.points)
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    return SaliencyMap(_blur_points(xs, ys, [1.0] * len(points),
+    return SaliencyMap(_blur_points(fmap.pixels, np.ones(fmap.pixels.size),
                                     fmap.width, fmap.height, kernel))
 
 
@@ -126,14 +126,14 @@ def average_map(clips: Iterable[Iterable[FixationMap]], kernel: GaussianKernel,
     resampled once, as the per-pixel count of its maps' fixations; the
     sum over clips is divided by the number of maps. Every map counts,
     an empty one too. The maps of one clip share a grid; clips may differ.
-    Clips may be generators: only a clip's fixation keys are held.
+    Clips may be generators: only a clip's fixated pixels are held.
     """
     if width <= 0 or height <= 0:
         raise InputError("output dimensions must be positive")
     acc = np.zeros((height, width))
     count = 0
     for maps in clips:
-        keys = []
+        pixels = []
         grid = None
         for m in maps:
             if grid is None:
@@ -141,16 +141,12 @@ def average_map(clips: Iterable[Iterable[FixationMap]], kernel: GaussianKernel,
             elif (m.width, m.height) != grid:
                 raise InputError(f"map dimensions differ within a clip: "
                                  f"{m.width}x{m.height} vs {grid[0]}x{grid[1]}")
-            # x-major flat keys: np.unique returns them in sorted (x, y) order
-            keys.extend(x * m.height + y for (x, y) in m.points)
+            pixels.append(m.pixels)
             count += 1
-        if keys:
-            w, h = grid
-            pixels, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
-            xs, ys = np.divmod(pixels, h)
+        if any(p.size for p in pixels):
+            positions, counts = np.unique(np.concatenate(pixels), return_counts=True)
             # unnamed, the full-resolution blur is freed before the next clip's
-            acc += resize_bilinear(_blur_points(xs.tolist(), ys.tolist(),
-                                                counts.astype(float).tolist(), w, h, kernel),
+            acc += resize_bilinear(_blur_points(positions, counts.astype(float), *grid, kernel),
                                    width, height)
     if count == 0:
         raise InputError("no frames remain after exclusion")

@@ -14,10 +14,12 @@ runs with its own defaults (the benchmark's run length, untraced). It
 writes ``BENCH_<label>.json``: each tree's commit, a digest of its
 ``src/`` and a digest of its benchmark (``perfbench/`` and
 ``BENCHMARK.json``), whether the two benchmark digests match, the machine
-facts that ``run.py`` prints, and per workload and seed every run's
-``wall_s``, ``peak_rss_mb`` and ``setup_s`` with their medians, quartiles
-and the pairs the change won. Lower is better for all three. The file
-reports the spread of each side as measured; nothing is dropped or re-run.
+facts that ``run.py`` prints, and per workload and seed every run of each
+end-to-end metric that ``BENCHMARK.json`` declares (``wall_s``,
+``peak_rss_mb``, ``setup_s``; lower is better for all three) with their
+medians, quartiles, the pairs the change won and a verdict against the
+metric's declared bound. The file reports the spread of each side as
+measured; nothing is dropped or re-run.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-METRICS = ("wall_s", "peak_rss_mb", "setup_s")
 SEEDS = (1, 9001)
 
 
@@ -40,6 +41,16 @@ def declared_workloads(root: Path = ROOT) -> list:
     """The workload names that ``BENCHMARK.json`` under ``root`` declares."""
     declared = json.loads((root / "BENCHMARK.json").read_text())
     return [w["name"] for w in declared["workloads"]]
+
+
+def declared_bounds(root: Path = ROOT) -> dict:
+    """Each end-to-end metric that ``BENCHMARK.json`` under ``root``
+    declares, with its bound: the share of the base's median by which the
+    change's median may be worse."""
+    declared = json.loads((root / "BENCHMARK.json").read_text())
+    if any(m["better"] != "lower" for m in declared["end_to_end"]):
+        raise ValueError("summarize compares lower-is-better metrics only")
+    return {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
 
 def parse_run(stdout: str) -> dict:
@@ -69,21 +80,44 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list) -> dict:
-    """Per metric: both sides' values in pair order, their quartiles, the
-    pairs the change won (strictly lower) and the ratio of the medians.
-    ``pairs`` holds ``{"base": run, "change": run}`` of parsed runs."""
+def summarize(pairs: list, bounds: dict) -> dict:
+    """Per metric of ``bounds``: both sides' values in pair order, their
+    quartiles, the pairs the change won (strictly lower), the ratio of the
+    medians and a verdict. ``pairs`` holds ``{"base": run, "change": run}``
+    of parsed runs.
+
+    The verdict, in this order of precedence:
+
+    - ``unresolved``: the base's quartile spread is wider than the bound
+      (as a share of its median), unless every change run is lower than
+      every base run;
+    - ``better``: the change won at least nine pairs in ten, and its
+      median is lower by more than the base's quartile spread;
+    - ``worse``: the change's median is higher than the base's by more
+      than the bound;
+    - ``level``: none of these.
+    """
     out = {"pairs": len(pairs),
            "failed_runs": {side: sum(1 for p in pairs if not p[side]["correct"])
                            for side in ("base", "change")}}
-    for name in METRICS:
+    for name, bound in bounds.items():
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         b, c = quartiles(base), quartiles(change)
+        won = sum(1 for x, y in zip(base, change) if y < x)
+        spread = b["q3"] - b["q1"]
+        if spread > bound * b["median"] and max(change) >= min(base):
+            verdict = "unresolved"
+        elif won >= 0.9 * len(pairs) and b["median"] - c["median"] > spread:
+            verdict = "better"
+        elif c["median"] > (1 + bound) * b["median"]:
+            verdict = "worse"
+        else:
+            verdict = "level"
         out[name] = {"base": base, "change": change, "base_quartiles": b,
-                     "change_quartiles": c,
-                     "change_won": sum(1 for x, y in zip(base, change) if y < x),
-                     "median_ratio": c["median"] / b["median"] if b["median"] else None}
+                     "change_quartiles": c, "change_won": won,
+                     "median_ratio": c["median"] / b["median"] if b["median"] else None,
+                     "bound": bound, "verdict": verdict}
     return out
 
 
@@ -129,6 +163,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="tree with the change")
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
     workloads = declared_workloads()
+    bounds = declared_bounds()
     parser.add_argument("--workloads", nargs="+", default=workloads, choices=workloads)
     parser.add_argument("--seeds", nargs="+", type=int, default=list(SEEDS))
     parser.add_argument("--pairs", type=int, default=10)
@@ -154,7 +189,7 @@ def main(argv=None) -> int:
                 wall = [pair[s]["metrics"]["wall_s"] for s in ("base", "change")]
                 print(f"{time.strftime('%H:%M:%S')} {workload} seed {seed} pair {i + 1}: "
                       f"wall_s {wall[0]:.3f} -> {wall[1]:.3f}", flush=True)
-            summary = summarize(pairs)
+            summary = summarize(pairs, bounds)
             summary["runs"] = [{side: {k: p[side][k] for k in ("correct", "failed",
                                                                "attempted", "chain_walls")}
                                 for side in ("base", "change")} for p in pairs]
