@@ -289,8 +289,8 @@ def auc_borji(s, f: FixationMap, negatives_per_fixation: int = 1,
 
     Each split draws ``f.pixels.size * negatives_per_fixation`` negative
     locations uniformly (with replacement) from the non-fixated pixels in
-    row-major order, using a generator owned by this call. Identical inputs and seed
-    give a bit-identical result.
+    row-major order, using a generator owned by this call. Identical
+    inputs and seed give a bit-identical result.
     """
     sv = _grid(s)
     return _auc_borji(sv.ravel(), _fixated(f, sv.shape), negatives_per_fixation,

@@ -30,7 +30,8 @@ def _check_side(grid, cap):
 def fixation_array(fmap):
     """A FixationMap as a dense float64 binary grid, indexed [y, x]."""
     grid = np.zeros((fmap.height, fmap.width))
-    for (x, y) in fmap.points:
+    for p in fmap.pixels.tolist():
+        y, x = divmod(p, fmap.width)
         grid[y, x] = 1.0
     return grid
 

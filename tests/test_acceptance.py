@@ -24,8 +24,8 @@ from cinegaze.annotations import (PartitionKind, cuts_of, labels,
 from cinegaze.bench import benchmark_model, dataset_means
 from cinegaze.core import ClipMeta
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
-from cinegaze.ingest import (ColumnMap, clean_and_bin, filter_observers,
-                             parse_gaze_samples)
+from cinegaze.ingest import (ColumnMap, build_fixation_map, clean_and_bin,
+                             filter_observers, parse_gaze_samples)
 from cinegaze.ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
                           sequence_ioc_summary)
 from cinegaze.metrics import (KLD_EPSILON, auc_borji, auc_judd, cc, kld, nss,
@@ -64,10 +64,9 @@ def test_criterion_01_metric_oracle_equivalence():
     with criterion(1, "metric oracle equivalence, 200 instances per metric, <10s"):
         rng = np.random.default_rng(20240601)
         start = time.perf_counter()
-        from cinegaze.core import FixationMap
         for i in range(200):
             s, q, fix_pixels = random_metric_instance(rng)
-            fmap = FixationMap(0, 16, 16, frozenset(fix_pixels))
+            fmap = build_fixation_map(fix_pixels, 16, 16)
             assert abs(cc(s, q) - cc_oracle(s, q)) < 1e-6
             assert abs(sim(s, q) - sim_oracle(s, q)) < 1e-6
             assert abs(nss(s, fmap) - nss_oracle(s, fix_pixels)) < 1e-6
@@ -83,14 +82,13 @@ def test_criterion_01_metric_oracle_equivalence():
 def test_criterion_02_convolution_equivalence():
     with criterion(2, "separable blur equals direct 2-D convolution on 64x64"):
         rng = np.random.default_rng(20240602)
-        from cinegaze.core import FixationMap
         kernel = make_kernel(2.5)
         r = kernel.radius_px
         for i in range(50):
             n_points = int(rng.integers(1, 40))
             flat = rng.choice(64 * 64, size=n_points, replace=False)
             pts = frozenset((int(v % 64), int(v // 64)) for v in flat)
-            fmap = FixationMap(0, 64, 64, pts)
+            fmap = build_fixation_map(pts, 64, 64)
             mine = blur_fixations(fmap, kernel).values
             ref = direct_convolve2d(fixation_array(fmap), kernel.weights)
             assert np.abs(mine - ref).max() < 1e-6
@@ -98,7 +96,7 @@ def test_criterion_02_convolution_equivalence():
                 assert abs(mine.sum() - len(pts)) < 1e-6
         # interior mass conservation, checked explicitly
         interior = frozenset({(20, 20), (30, 25), (25, 38)})
-        mine = blur_fixations(FixationMap(0, 64, 64, interior), kernel).values
+        mine = blur_fixations(build_fixation_map(interior, 64, 64), kernel).values
         assert abs(mine.sum() - 3.0) < 1e-6
 
 
@@ -109,8 +107,7 @@ def test_criterion_03_ioc_fast_path_equivalence():
             if len(fix.observers()) < 2:
                 continue
             cfg = IocConfig(n=5, sigma_px=1.5)
-            fast = loo_window_ioc(
-                fix, ClipMeta(fx.clip_id, fx.frame_count, fx.width, fx.height), cfg)
+            fast = loo_window_ioc(fix, cfg)
             ref = naive_loo_window_ioc(fix, 5, 1.5, cfg.truncation)
             assert len(fast.values) == len(ref)
             for (t1, v1), (t2, v2) in zip(fast.values, ref):
@@ -202,7 +199,7 @@ def ioc_series_for_config(clips, n, sigma_px):
         series = {}
         for meta, cleaned, _ in clips:
             cfg = IocConfig(n=n, sigma_px=sigma_px)
-            series[meta.clip_id] = loo_window_ioc(cleaned, meta, cfg)
+            series[meta.clip_id] = loo_window_ioc(cleaned, cfg)
         _ioc_cache[key] = series
     return _ioc_cache[key]
 
@@ -362,9 +359,7 @@ def test_criterion_10_synthetic_monotonicity():
             for congruency in (0.1, 0.9):
                 fx = ScanpathFixture(seed=99, congruency=congruency, **kw)
                 fix = generate_scanpaths(fx)
-                meta = ClipMeta(fx.clip_id, fx.frame_count, fx.width, fx.height)
-                means[congruency] = sequence_ioc_summary(
-                    loo_window_ioc(fix, meta, cfg)).mean
+                means[congruency] = sequence_ioc_summary(loo_window_ioc(fix, cfg)).mean
             assert means[0.9] > means[0.1], f"n={n}: {means}"
 
 
@@ -375,8 +370,7 @@ def _paper_scale_clip(seed):
                          cut_frames=tuple(range(90, 4700, 90)),
                          reconvergence_lag=5, clip_id=f"clip{seed:02d}")
     fix = generate_scanpaths(fx)
-    meta = ClipMeta(fx.clip_id, fx.frame_count, fx.width, fx.height)
-    series = loo_window_ioc(fix, meta, IocConfig(n=20, sigma_px=45.0))
+    series = loo_window_ioc(fix, IocConfig(n=20, sigma_px=45.0))
     return len(series.values), sequence_ioc_summary(series).mean
 
 

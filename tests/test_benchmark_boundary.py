@@ -14,7 +14,7 @@ import numpy as np
 
 from cinegaze import bench
 from cinegaze.bench import benchmark_model
-from cinegaze.core import ClipMeta, SaliencyMap
+from cinegaze.core import SaliencyMap
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import write_float_grid
 from cinegaze.ingest import fixation_map_for_frame
@@ -78,8 +78,7 @@ def test_return_shapes_the_benchmark_reads(tmp_path):
     assert resize_bilinear(blur.values, 12, 8).shape == (8, 12)
     # the tracer reads ``clip_id``, ``n`` and ``values`` of a series, and
     # checks.py iterates ``values`` of a series read back as (start, score)
-    meta = ClipMeta(fix.clip_id, 8, 24, 16)
-    series = loo_window_ioc(fix, meta, IocConfig(n=3, sigma_px=1.5))
+    series = loo_window_ioc(fix, IocConfig(n=3, sigma_px=1.5))
     assert (series.clip_id, series.n) == (fix.clip_id, 3)
     assert [start for start, _ in series.values] == list(range(6))
     assert all(score is None or isinstance(score, float) for _, score in series.values)

@@ -366,11 +366,11 @@ r, p = stats.pearson([1, 2, 3, 4, 5], [2, 1, 4, 3, 5])
 assert r == 0.8 and abs(p - 0.10408803866182782) < 1e-12, (r, p)
 kernel = saliency.make_kernel(1.0)
 pixels = [(x, y) for x in range(8) for y in (0, 2, 5)]
-xs, ys = [x for x, _ in pixels], [y for _, y in pixels]
 stamped = np.zeros((6, 8))
-for x, y in zip(xs, ys):
+for x, y in pixels:
     saliency.stamp_kernel(stamped, kernel.weights, x, y, 2.0)
-blurred = saliency._blur_points(xs, ys, [2.0] * len(xs), 8, 6, kernel)
+positions = np.array([y * 8 + x for x, y in pixels])
+blurred = saliency._blur_points(positions, np.full(positions.size, 2.0), 8, 6, kernel)
 assert np.allclose(blurred, stamped, rtol=0, atol=1e-12)
 assert {"scipy.special", "scipy.ndimage"} <= set(sys.modules)  # the separable route ran
 """
@@ -548,6 +548,24 @@ def _bad_input_argv(name, d: Path) -> list:
         doc = json.loads((d / "ann" / "b.json").read_text())
         (d / "ann" / "b.json").write_text(json.dumps({**doc, "schema_version": 2}))
         return ["report", "--shot-stats", str(d / "ann"), "--out", str(d / "shots.csv")]
+    if name in MALFORMED_ANNOTATION:  # each escaped as a traceback
+        (d / "ann").mkdir()
+        make_annotation(d / "ann" / f"{CLIP}.json")
+        doc = json.loads((d / "ann" / f"{CLIP}.json").read_text())
+        MALFORMED_ANNOTATION[name][0](doc)
+        (d / "ann" / f"{CLIP}.json").write_text(json.dumps(doc))
+        if name.startswith("shot_stats"):
+            return ["report", "--shot-stats", str(d / "ann"), "--out", str(d / "shots.csv")]
+        if name.startswith("ioc_"):
+            return ["ioc", "--fixations", fix, "--meta", meta, "--out", str(d / "s.csv"),
+                    "--annotation", str(d / "ann" / f"{CLIP}.json")]
+        return ["bench", "--fixations", fix, "--predictions", _predictions(d),
+                "--annotation", str(d / "ann" / f"{CLIP}.json"), "--out", str(d / "s.csv")]
+    if name == "ioc_other_clip_meta_mismatch":
+        (d / "other_meta.json").write_text(
+            json.dumps({**json.loads(Path(meta).read_text()), "clip_id": "another_clip"}))
+        return ["ioc", "--fixations", fix, "--meta", str(d / "other_meta.json"),
+                "--out", str(d / "s.csv")]
     if name == "per_frame_missing_fixations":
         return ["saliency", "--fixations", str(d / "nonexist.csv"), "--out-dir", str(d / "o"),
                 "--frames", "0:3"]
@@ -573,7 +591,20 @@ def _bad_input_argv(name, d: Path) -> list:
     raise AssertionError(name)
 
 
-@pytest.mark.parametrize("name", [
+#: an edit that gives an annotation field the wrong type, and the part of
+#: the document the error line names; each escaped as a traceback before
+#: (the exception in the comment)
+MALFORMED_ANNOTATION = {
+    "shot_stats_start_not_a_number":  # ValueError
+        (lambda doc: doc["shots"][0].update(start="x"), "shot 0"),
+    "bench_shots_not_a_list": (lambda doc: doc.update(shots=5), "shots"),  # TypeError
+    "ioc_face_box_not_a_number":  # ValueError
+        (lambda doc: doc.update(faces={"3": [["a", 1, 1, 1]]}), "faces of frame '3'"),
+    "bench_faces_not_an_object": (lambda doc: doc.update(faces=[1]), "faces"),  # AttributeError
+}
+
+
+@pytest.mark.parametrize("name", [*MALFORMED_ANNOTATION, "ioc_other_clip_meta_mismatch",
     "pairs_missing_column", "colmap_unknown_key", "meta_without_clip_id",
     "frames_not_a_range", "frames_file_is_a_list", "unknown_metric",
     "config_value_not_a_number", "window_longer_than_clip", "sigma_nan",
@@ -606,6 +637,12 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, name):
     if name.endswith("_annotation_mismatch"):  # both files named
         assert str(tmp_path / "ann.json") in err[0]
         assert argv[argv.index("--fixations") + 1] in err[0]
+    if name == "ioc_other_clip_meta_mismatch":
+        assert str(tmp_path / "other_meta.json") in err[0]
+        assert argv[argv.index("--fixations") + 1] in err[0]
+    if name in MALFORMED_ANNOTATION:  # the document and the field's context named
+        assert err[0].startswith(f"error: {tmp_path / 'ann' / f'{CLIP}.json'}: "
+                                 f"{CLIP} {MALFORMED_ANNOTATION[name][1]}: malformed field (")
     if name == "shot_stats_schema_version_2":
         assert err[0] == (f"error: {tmp_path / 'ann' / 'b.json'}: "
                           "unsupported schema_version 2, expected 1")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cinegaze.core import (ClipMeta, FixationMap, Rect,
-                           display_to_frame, frame_of, frame_to_display,
-                           letterboxed_area, rasterize_point, round_half_up)
+from cinegaze.core import (ClipMeta, Rect, display_to_frame, frame_of, frame_to_display,
+                           letterboxed_area, rasterize, rasterize_point)
 from cinegaze.errors import InputError
+from cinegaze.ingest import build_fixation_map
 
 from oracles import fixation_array
 
@@ -111,24 +111,57 @@ class TestClipMeta:
 
 class TestGridTypes:
     def test_fixation_map_validates_bounds(self):
-        with pytest.raises(InputError):
-            FixationMap(0, 4, 4, frozenset({(4, 0)}))
+        with pytest.raises(InputError, match=r"point \(4, 0\) outside 4x4 frame"):
+            build_fixation_map([(4, 0)], 4, 4)
+        with pytest.raises(InputError, match="dimensions must be positive"):
+            build_fixation_map([], 0, 4)
 
     def test_fixation_map_to_array(self):
-        fmap = FixationMap(0, 3, 2, frozenset({(2, 1), (0, 0)}))
+        fmap = build_fixation_map([(2, 1), (0, 0)], 3, 2)
         expected = np.array([[1.0, 0, 0], [0, 0, 1.0]])
         assert np.array_equal(fixation_array(fmap), expected)
 
 
 class TestRounding:
+    """``core.rasterize`` is the one rule that rounds a point to a pixel;
+    each table row is (x, y, width, height, pixel)."""
+
+    @staticmethod
+    def check(table):
+        for x, y, width, height, pixel in table:
+            (position,) = rasterize(np.array([[x, y]]), width, height).tolist()
+            assert divmod(position, width) == pixel[::-1], (x, y)
+            assert rasterize_point(x, y, width, height) == pixel, (x, y)
+
     def test_half_up(self):
-        assert round_half_up(2.5) == 3
-        assert round_half_up(2.49) == 2
-        assert round_half_up(0.5) == 1
+        self.check([(2.5, 0.5, 8, 8, (3, 1)),          # ties round up
+                    (0.5, 6.5, 8, 8, (1, 7)),
+                    (2.49, 1.5 - 1e-9, 8, 8, (2, 1)),  # just below a tie rounds down
+                    (0.0, 0.0, 8, 8, (0, 0))])
 
     def test_rasterize_sticks_to_edge(self):
-        assert rasterize_point(639.7, 0.0, 640, 480) == (639, 0)
+        self.check([(7.5, 3.5, 8, 4, (7, 3)),            # width - 0.5
+                    (8 - 1e-9, 4 - 1e-9, 8, 4, (7, 3)),  # width - 1e-9
+                    (639.7, 0.0, 640, 480, (639, 0))])
+
+    def test_positions_are_row_major_int64_in_input_order(self):
+        got = rasterize([(1.0, 2.0), (0.0, 0.0), (1.0, 2.0)], 5, 4)
+        assert got.dtype == np.int64 and got.tolist() == [11, 0, 11]
+        assert rasterize(np.empty((0, 2)), 5, 4).tolist() == []
 
     def test_rasterize_rejects_out_of_bounds(self):
-        with pytest.raises(InputError):
-            rasterize_point(640.0, 0.0, 640, 480)
+        # the first point outside the 640x480 frame is named, as given
+        for points, message in [
+                ([(640.0, 0.0)], "point (640.0, 0.0) outside 640x480 frame"),
+                ([(0.0, 480.0)], "point (0.0, 480.0) outside 640x480 frame"),
+                ([(3.0, 3.0), (-1e-09, 2.0), (700.0, 0.0)],
+                 "point (-1e-09, 2.0) outside 640x480 frame"),
+                ([(float("nan"), 1.0)], "point (nan, 1.0) outside 640x480 frame"),
+                ([(1.0, float("inf"))], "point (1.0, inf) outside 640x480 frame"),
+                ([(640, 0)], "point (640, 0) outside 640x480 frame")]:
+            for build in (rasterize, build_fixation_map):
+                with pytest.raises(InputError) as exc:
+                    build(points, 640, 480)
+                assert str(exc.value) == message
+            with pytest.raises(InputError, match="outside 640x480 frame"):
+                rasterize_point(*points[-1], 640, 480)

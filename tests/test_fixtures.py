@@ -1,6 +1,5 @@
 import pytest
 
-from cinegaze.core import ClipMeta
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.ioc import IocConfig, loo_window_ioc, sequence_ioc_summary
@@ -68,8 +67,7 @@ def test_congruency_raises_ioc():
     for congruency in (0.1, 0.9):
         fx = ScanpathFixture(seed=5, congruency=congruency, **kw)
         fix = generate_scanpaths(fx)
-        meta = ClipMeta(fx.clip_id, fx.frame_count, fx.width, fx.height)
-        means[congruency] = sequence_ioc_summary(loo_window_ioc(fix, meta, cfg)).mean
+        means[congruency] = sequence_ioc_summary(loo_window_ioc(fix, cfg)).mean
     assert means[0.9] > means[0.1]
 
 

@@ -209,21 +209,21 @@ class TestCleanAndBin:
 class TestFixationMapBuilding:
     def test_empty_points_all_zero(self):
         fmap = build_fixation_map([], 8, 8)
-        assert len(fmap) == 0
+        assert fmap.pixels.size == 0
         assert not fixation_array(fmap).any()
 
     def test_duplicates_collapse(self):
         fmap = build_fixation_map([(3.0, 3.0), (3.0, 3.0)], 8, 8)
-        assert fmap.points == frozenset({(3, 3)})
+        assert fmap.pixels.tolist() == [3 * 8 + 3]
 
     def test_fourteen_distinct_points(self):
         pts = [(float(i), float(i % 8)) for i in range(14)]
         fmap = build_fixation_map(pts, 16, 8)
-        assert len(fmap) == 14
+        assert fmap.pixels.size == 14
 
     def test_half_up_rounding(self):
         fmap = build_fixation_map([(2.5, 1.49)], 8, 8)
-        assert fmap.points == frozenset({(3, 1)})
+        assert fmap.pixels.tolist() == [1 * 8 + 3]
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(InputError):
@@ -235,7 +235,7 @@ class TestFixationMapBuilding:
             "b": {2: [(5.0, 5.0)], 3: [(2.0, 2.0)]},
         })
         fmap = fixation_map_for_frame(cleaned, 2)
-        assert fmap.points == frozenset({(1, 1), (5, 5)})
+        assert fmap.pixels.tolist() == [1 * 8 + 1, 5 * 8 + 5]
 
 
 class TestFixationFiles:

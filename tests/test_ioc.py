@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cinegaze.core import ClipMeta
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.ingest import CleanedFixations, build_fixation_map
@@ -22,10 +21,6 @@ def cleaned_from(points_by_obs, frame_count, w, h, clip="clip"):
     return CleanedFixations(clip, frame_count, w, h, points_by_obs)
 
 
-def meta_for(fix):
-    return ClipMeta(fix.clip_id, fix.frame_count, fix.width, fix.height)
-
-
 class TestLooWindowIoc:
     def test_identical_fixations_constant_series(self):
         # every observer on one pixel, every frame: the leave-one-out map is
@@ -35,7 +30,7 @@ class TestLooWindowIoc:
                   for i in range(n_obs)}
         fix = cleaned_from(by_obs, frames, 28, 20)
         cfg = IocConfig(n=3, sigma_px=2.0)
-        series = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+        series = loo_window_ioc(fix, cfg)
         scores = [v for _, v in series.values]
         assert all(v is not None for v in scores)
         assert max(scores) - min(scores) < 1e-9
@@ -54,7 +49,7 @@ class TestLooWindowIoc:
                   for i in range(4)}
         fix = cleaned_from(by_obs, frames, 28, 20)
         cfg = IocConfig(n=3, sigma_px=2.0)
-        series = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+        series = loo_window_ioc(fix, cfg)
         score = series.values[0][1]
         assert score < 0
         # compare with the z-value floor of one leave-one-out map
@@ -65,8 +60,7 @@ class TestLooWindowIoc:
         # congruent case scores far above
         congruent = {f"o{i}": {t: [(14.0, 10.0)] for t in range(frames)}
                      for i in range(4)}
-        best = loo_window_ioc(cleaned_from(congruent, frames, 28, 20),
-                              meta_for_dims(fix), cfg)
+        best = loo_window_ioc(cleaned_from(congruent, frames, 28, 20), cfg)
         assert best.values[0][1] - score > 3.0
 
     def test_two_observers_one_empty_window_is_absent(self):
@@ -76,7 +70,7 @@ class TestLooWindowIoc:
         }
         fix = cleaned_from(by_obs, 6, 20, 20)
         cfg = IocConfig(n=2, sigma_px=1.5)
-        series = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+        series = loo_window_ioc(fix, cfg)
         by_start = dict(series.values)
         assert by_start[0] is None      # only a has fixations
         assert by_start[2] is None      # nobody has fixations
@@ -85,12 +79,12 @@ class TestLooWindowIoc:
     def test_min_observers_enforced(self):
         fix = cleaned_from({"a": {0: [(1.0, 1.0)]}}, 4, 10, 10)
         with pytest.raises(InputError):
-            loo_window_ioc(fix, meta_for_dims(fix), IocConfig(n=2, sigma_px=1.0))
+            loo_window_ioc(fix, IocConfig(n=2, sigma_px=1.0))
 
     def test_windows_truncated_at_clip_end_dropped(self):
         fx = scanpath_battery()[1]
         fix = generate_scanpaths(fx)
-        series = loo_window_ioc(fix, meta_for(fx), IocConfig(n=5, sigma_px=1.5))
+        series = loo_window_ioc(fix, IocConfig(n=5, sigma_px=1.5))
         assert len(series.values) == fx.frame_count - 5 + 1
         assert series.values[-1][0] == fx.frame_count - 5
 
@@ -101,8 +95,8 @@ class TestLooWindowIoc:
         flipped = CleanedFixations(fix.clip_id, fix.frame_count, fix.width,
                                    fix.height, renamed)
         cfg = IocConfig(n=4, sigma_px=1.5)
-        a = loo_window_ioc(fix, meta_for(fx), cfg)
-        b = loo_window_ioc(flipped, meta_for(fx), cfg)
+        a = loo_window_ioc(fix, cfg)
+        b = loo_window_ioc(flipped, cfg)
         for (t1, v1), (t2, v2) in zip(a.values, b.values):
             assert t1 == t2
             if v1 is None:
@@ -124,8 +118,8 @@ class TestLooWindowIoc:
             fix_dup = CleanedFixations(fix.clip_id, fix.frame_count, fix.width,
                                        fix.height, dup)
             cfg = IocConfig(n=4, sigma_px=2.0)
-            a = loo_window_ioc(fix, meta_for(fx), cfg)
-            b = loo_window_ioc(fix_dup, meta_for(fx), cfg)
+            a = loo_window_ioc(fix, cfg)
+            b = loo_window_ioc(fix_dup, cfg)
             for (_, v1), (_, v2) in zip(a.values, b.values):
                 assert v2 >= v1 - 1e-9
 
@@ -135,7 +129,7 @@ class TestLooWindowIoc:
         n = 3
         cfg = IocConfig(n=n, sigma_px=1.5)
         kernel = make_kernel(1.5)
-        series = loo_window_ioc(fix, meta_for(fx), cfg)
+        series = loo_window_ioc(fix, cfg)
         obs = fix.observers()
         for t, score in series.values:
             windows = {}
@@ -164,7 +158,7 @@ class TestLooWindowIoc:
         for fx in scanpath_battery()[:4]:
             fix = generate_scanpaths(fx)
             cfg = IocConfig(n=4, sigma_px=1.5)
-            fast = loo_window_ioc(fix, meta_for(fx), cfg)
+            fast = loo_window_ioc(fix, cfg)
             ref = naive_loo_window_ioc(fix, 4, 1.5, cfg.truncation)
             assert len(fast.values) == len(ref)
             for (t1, v1), (t2, v2) in zip(fast.values, ref):
@@ -181,7 +175,7 @@ class TestLooWindowIoc:
         fix = generate_scanpaths(fx)
         for n, sigma in ((1, 1.5), (3, 6.0)):
             cfg = IocConfig(n=n, sigma_px=sigma)
-            fast = loo_window_ioc(fix, meta_for(fx), cfg)
+            fast = loo_window_ioc(fix, cfg)
             ref = naive_loo_window_ioc(fix, n, sigma, cfg.truncation)
             for (t1, v1), (t2, v2) in zip(fast.values, ref):
                 assert t1 == t2
@@ -192,9 +186,9 @@ class TestLooWindowIoc:
 
     def test_window_longer_than_clip_rejected(self):
         fix = cleaned_from({"a": {0: [(1.0, 1.0)]}, "b": {1: [(2.0, 2.0)]}}, 4, 10, 10)
-        assert len(loo_window_ioc(fix, meta_for_dims(fix), IocConfig(n=4, sigma_px=1.0)).values) == 1
+        assert len(loo_window_ioc(fix, IocConfig(n=4, sigma_px=1.0)).values) == 1
         with pytest.raises(InputError):
-            loo_window_ioc(fix, meta_for_dims(fix), IocConfig(n=5, sigma_px=1.0))
+            loo_window_ioc(fix, IocConfig(n=5, sigma_px=1.0))
 
     def test_sliding_window_equals_single_window_recomputation(self):
         # the series sums each pair once over the windows where both keys
@@ -219,14 +213,14 @@ class TestLooWindowIoc:
         fix = cleaned_from(by_obs, frames, w, h)
         for n in (1, 7):
             cfg = IocConfig(n=n, sigma_px=2.0)
-            series = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+            series = loo_window_ioc(fix, cfg)
             assert len(series.values) == frames - n + 1
             assert any(score is None for _, score in series.values)
             for t, score in series.values:
                 window = {o: {f - t: fr[f] for f in range(t, t + n) if f in fr}
                           for o, fr in by_obs.items()}
                 alone = cleaned_from(window, n, w, h)
-                (_, ref), = loo_window_ioc(alone, meta_for_dims(alone), cfg).values
+                (_, ref), = loo_window_ioc(alone, cfg).values
                 if ref is None:
                     assert score is None, t
                 else:
@@ -256,7 +250,7 @@ class TestLooWindowIoc:
         fix = cleaned_from(by_obs, frames, w, h)
         for n in (1, 7, 20):
             cfg = IocConfig(n=n, sigma_px=2.0)
-            series = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+            series = loo_window_ioc(fix, cfg)
             windows = frames - n + 1
             assert len(series.values) == windows
             assert any(score is None for _, score in series.values)
@@ -267,12 +261,39 @@ class TestLooWindowIoc:
                 window = {o: {f - t: fr[f] for f in range(t, t + n) if f in fr}
                           for o, fr in by_obs.items()}
                 alone = cleaned_from(window, n, w, h)
-                (_, ref), = loo_window_ioc(alone, meta_for_dims(alone), cfg).values
+                (_, ref), = loo_window_ioc(alone, cfg).values
                 score = series.values[t][1]
                 if ref is None:
                     assert score is None, (n, t)
                 else:
                     assert score == pytest.approx(ref, abs=1e-9), (n, t)
+
+    def test_keys_hold_the_pixels_of_build_fixation_map(self, rng):
+        # random points, half of them on a tie or in the last half pixel:
+        # IOC and the fixation maps round them by the same rule
+        w, h, frames = 13, 7, 6
+
+        def coordinates(side, size):
+            anywhere = rng.uniform(0, side, size)
+            tie = rng.integers(0, side, size) + 0.5  # side - 0.5 among them
+            edge = np.full(size, side - 1e-9)
+            return np.choose(rng.choice(4, size, p=[0.5, 0.3, 0.1, 0.1]),
+                             [anywhere, tie, edge, np.zeros(size)]).tolist()
+
+        for _ in range(20):
+            by_obs = {}
+            for obs in ("a", "b", "c"):
+                sizes = {f: int(rng.integers(1, 6)) for f in range(frames) if rng.random() < 0.8}
+                by_obs[obs] = {f: list(zip(coordinates(w, k), coordinates(h, k)))
+                               for f, k in sizes.items()}
+            fix = cleaned_from(by_obs, frames, w, h)
+            frames_of, keys = _window_keys(fix, w, h)
+            assert keys.size == fix.n_points()
+            observer, pixel = np.divmod(keys, w * h)
+            for i, obs in enumerate(fix.observers()):
+                for f, pts in fix.by_observer[obs].items():
+                    mine = np.unique(pixel[(observer == i) & (frames_of == f)])
+                    assert mine.tolist() == build_fixation_map(pts, w, h).pixels.tolist()
 
     @pytest.mark.parametrize("gap, intervals", [(4, 1), (5, 2)])
     def test_presence_intervals_merge_at_most_n_frames_apart(self, gap, intervals):
@@ -292,7 +313,7 @@ class TestLooWindowIoc:
         pixel = 0 * 12 * 10 + 5 * 12 + 5  # observer a, the first, at (5, 5)
         assert (key == pixel).sum() == intervals
         cfg = IocConfig(n=n, sigma_px=1.5)
-        fast = loo_window_ioc(fix, meta_for_dims(fix), cfg)
+        fast = loo_window_ioc(fix, cfg)
         ref = naive_loo_window_ioc(fix, n, 1.5, cfg.truncation)
         for (t1, v1), (t2, v2) in zip(fast.values, ref):
             assert t1 == t2
@@ -315,16 +336,12 @@ class TestLooWindowIoc:
         fix = generate_scanpaths(fx)
         tracemalloc.start()
         try:
-            series = loo_window_ioc(fix, meta_for(fx), IocConfig(n=20, sigma_px=8.0))
+            series = loo_window_ioc(fix, IocConfig(n=20, sigma_px=8.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(series.values) == 2000 - 20 + 1
         assert peak <= 3_966_273, peak
-
-
-def meta_for_dims(fix):
-    return ClipMeta(fix.clip_id, fix.frame_count, fix.width, fix.height)
 
 
 class TestSummary:
@@ -384,7 +401,7 @@ class TestCutDrop:
                              height=24, congruency=0.95, cluster_sigma=0.8,
                              cut_frames=(16, 32), reconvergence_lag=5)
         fix = generate_scanpaths(fx)
-        series = loo_window_ioc(fix, meta_for(fx), IocConfig(n=5, sigma_px=1.5))
+        series = loo_window_ioc(fix, IocConfig(n=5, sigma_px=1.5))
         records = cut_drop_analysis(series, [16, 32], pre_frames=5, post_frames=5)
         for r in records:
             assert r.drop is not None and r.drop > 0

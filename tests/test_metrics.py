@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cinegaze import metrics
-from cinegaze.core import FixationMap
 from cinegaze.errors import CinegazeError, InputError, UndefinedValueError
 from cinegaze.ingest import build_fixation_map
 from cinegaze.metrics import (KLD_EPSILON, auc_borji, auc_judd, cc, kld, nss,
@@ -19,7 +18,7 @@ from oracles import (auc_borji_oracle, auc_borji_split_loop, auc_judd_one_sort,
 
 
 def fixation_map(pixels, w=16, h=16):
-    return FixationMap(0, w, h, frozenset(pixels))
+    return build_fixation_map(pixels, w, h)
 
 
 class TestCC:
@@ -381,7 +380,7 @@ class TestScoreFrame:
         s, q = rng.random((9, 11)), rng.random((9, 11))
         points = [(0.0, 0.0), (10.0, 8.0), (4.2, 3.9), (3.8, 4.1), (4.0, 4.0)]
         fmap = build_fixation_map(points, 11, 9)
-        assert len(fmap) == 3
+        assert fmap.pixels.size == 3
         self.check(s, q, fmap)
         self.check(s, q, fmap, splits=3)
 

@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from cinegaze.core import FixationMap
 from cinegaze.errors import InputError
 from cinegaze.ingest import build_fixation_map
 from cinegaze.saliency import (average_map, blur_fixations, center_prior,
-                               make_kernel, resize_bilinear)
+                               make_kernel, resize_bilinear, stamp_kernel)
 
 from oracles import (average_map_oracle, direct_convolve2d, fixation_array,
                      resize_bilinear_oracle, to_reference_grid)
 
 
 def fmap(points, w=64, h=64):
-    return FixationMap(0, w, h, frozenset(points))
+    return build_fixation_map(points, w, h)
 
 
 class TestKernel:
@@ -88,7 +87,7 @@ class TestBlur:
         r = k.radius_px
         flat = rng.choice(40 * 40, size=12, replace=False)
         pts = [(int(i % 40) + r, int(i // 40) + r) for i in flat]
-        out = blur_fixations(FixationMap(0, 40 + 2 * r, 40 + 2 * r, frozenset(pts)), k)
+        out = blur_fixations(fmap(pts, 40 + 2 * r, 40 + 2 * r), k)
         assert abs(out.values.sum() - len(pts)) < 1e-6
 
     def test_linear_in_fixation_sets(self, rng):
@@ -108,6 +107,17 @@ class TestBlur:
         shifted = blur_fixations(fmap([(25, 30), (29, 30)]), k).values
         assert np.allclose(np.roll(np.roll(base, 8, axis=0), 5, axis=1), shifted,
                            atol=1e-12)
+
+    def test_stamps_in_x_then_y_order(self, rng):
+        # the order of the stamps fixes the bits of overlapping sums, and
+        # with them the bytes of every map and score written
+        k = make_kernel(2.0)
+        flat = rng.choice(30 * 20, size=25, replace=False)
+        pts = sorted((int(i % 30), int(i // 30)) for i in flat)
+        stamped = np.zeros((20, 30))
+        for x, y in pts:
+            stamp_kernel(stamped, k.weights, x, y)
+        assert np.array_equal(blur_fixations(fmap(pts, 30, 20), k).values, stamped)
 
 
 def random_maps(rng, frames, w, h, per_frame):
@@ -156,7 +166,8 @@ class TestAverageMap:
 
     def test_same_pixel_in_many_frames(self, rng):
         k = make_kernel(2.0)
-        maps = [fmap({(20, 15)} | m.points, 40, 30) for m in random_maps(rng, 20, 40, 30, 2)]
+        maps = [fmap([(20, 15), *zip(m.pixels % 40, m.pixels // 40)], 40, 30)
+                for m in random_maps(rng, 20, 40, 30, 2)]
         assert_matches_oracle([maps], k, 32, 24)
 
     def test_duplicate_points_in_a_frame_collapse(self):
@@ -180,8 +191,8 @@ class TestAverageMap:
         w, h = 32, 24
         maps = random_maps(rng, 30, w, h, 10)
         # each frame alone is stamped; the clip's distinct pixels are not
-        assert all(len(m) * k.size < 2 * w * h for m in maps)
-        assert len(set().union(*(m.points for m in maps))) * k.size >= 2 * w * h
+        assert all(m.pixels.size * k.size < 2 * w * h for m in maps)
+        assert np.unique(np.concatenate([m.pixels for m in maps])).size * k.size >= 2 * w * h
         assert_matches_oracle([maps, random_maps(rng, 3, 20, 20, 2)], k, 28, 20)
 
     def test_all_frames_excluded_is_error(self):
