@@ -347,7 +347,8 @@ def cmd_report(args):
         write_table(args.out, ["clip_id", "sequence_length_s", "longest_s", "shortest_s",
                                "average_s"],
                     [(s.clip_id, s.sequence_length_s, s.longest_s, s.shortest_s, s.average_s)
-                     for s in sorted(stats_rows, key=lambda s: s.average_s)])
+                     for s in sorted(stats_rows, key=lambda s: s.average_s)],
+                    meta=provenance({"report": "shot_stats", "fps": args.fps}))
     else:
         if not args.scores:
             raise InputError("report needs --scores, --bias or --shot-stats")

@@ -35,9 +35,14 @@ whole series:
   the clip is.
 * All windows are then scored at once as windows x observers arrays.
 
-Work is the pairs of co-present keys, each evaluated once, plus the
-pairs of small classes that share a block without overlapping, plus a
-constant per window; nothing is O(pixels * kernel).
+Work is the pairs of co-present keys within reach of each other, each
+evaluated once, plus the pairs of small classes that share a block, plus
+a constant per window; nothing is O(pixels * kernel). A pair more than
+2r apart on either axis (r the kernel radius) adds an exact 0 to every
+sum, so it is not evaluated: inside a class, keys are sorted by cell, a
+2r x 2r square, and a block's rows go in chunks of one cell's keys, each
+evaluated against the columns within 2r of its bounding box only. A
+block of small classes, which spread over the frame, is evaluated whole.
 
 Semantics pinned here and echoed in series-file metadata: stride is one
 frame; windows truncated by the clip end are dropped; each observer's
@@ -232,7 +237,9 @@ def _batches(offsets: np.ndarray, partners: np.ndarray):
 _PAIR_BLOCK_ELEMENTS = 1 << 16
 
 #: classes are paired in batches of about this many pair evaluations, so
-#: that small classes share their per-block overhead
+#: that small classes share their per-block overhead; a block within it is
+#: evaluated whole, and in a larger one the runs of one cell join a row
+#: chunk while it stays within it
 _BATCH_ELEMENTS = 1 << 14
 
 #: windows per segment of the difference arrays' cumulative sums: every
@@ -260,6 +267,7 @@ class _PairSums:
         self.corr_x = _corr_table(k1, r, width).ravel()
         self.corr_y = _corr_table(k1, r, height).ravel()
         self.zero_row = 2 * r + 1  # index of the padding row in the corr tables
+        self.reach = 2 * r  # the farthest offset, on each axis, of a nonzero pair
         self.width, self.height = width, height
         self.xs, self.ys, self.obs = xs, ys, obs
         self.work = [np.empty(0, dtype) for dtype in self.WORK]
@@ -274,51 +282,129 @@ class _PairSums:
         kernel correlations, and the correlations over the keys of the row
         key's own observer. Per row class and column key, by_col holds the
         first two.
+
+        A pair more than 2r apart on either axis adds an exact 0 to all of
+        them. So the rows go in chunks of runs of one cell, and a chunk
+        evaluates only the columns inside its rows' bounding box grown by
+        2r. A block within ``_BATCH_ELEMENTS`` pairs is one chunk and is
+        evaluated whole: its rows are small classes that spread over the
+        frame.
         """
         xs, ys, obs = self.xs, self.ys, self.obs
+        rows, cols = r1 - r0, c1 - r0
         qx, qy, qo = xs[r0:c1], ys[r0:c1], obs[r0:c1]
-        by_row = np.empty((3, r1 - r0, col_cls.size))
-        by_col = np.zeros((2, row_cls.size, c1 - r0))
-        step = max(1, _PAIR_BLOCK_ELEMENTS // (c1 - r0))
-        for b0 in range(0, r1 - r0, step):
-            b1 = min(r1 - r0, b0 + step)
-            size = (b1 - b0) * (c1 - r0)
-            if self.work[0].size < size:
-                self.work.clear()  # the smaller buffers go before larger ones come
-                self.work.extend(np.empty(size, dtype) for dtype in self.WORK)
+        by_row = np.zeros((3, rows, col_cls.size))
+        by_col = np.zeros((2, row_cls.size, cols))
+        # the buffers hold the block's largest chunk before pruning, so
+        # chunks of any size reuse them
+        size = min(rows, max(1, _PAIR_BLOCK_ELEMENTS // cols)) * cols
+        if self.work[0].size < size:
+            self.work.clear()  # the smaller buffers go before larger ones come
+            self.work.extend(np.empty(size, dtype) for dtype in self.WORK)
+        prune = rows * cols > _BATCH_ELEMENTS
+        if prune:
+            col_ends = np.append(col_cls[1:], cols)
+            cell = _cells(xs[r0:r1], ys[r0:r1], self.reach, self.width)
+            runs = [0] + (np.flatnonzero(cell[1:] != cell[:-1]) + 1).tolist()
+        for b0, b1 in _chunks(runs, rows, cols) if prune else ((0, rows),):
+            px, py = xs[r0 + b0:r0 + b1], ys[r0 + b0:r0 + b1]
+            near = self.near(px, py, qx, qy) if prune else None
+            if near is None:
+                cx, cy, co, cls, filled = qx, qy, qo, col_cls, None
+            else:
+                cx, cy, co = qx[near], qy[near], qo[near]
+                cls = np.searchsorted(near, col_cls)
+                # reduceat returns an element, not 0, for an empty segment:
+                # the classes that pruning empties stay out of the sums
+                filled = cls < np.searchsorted(near, col_ends)
+                filled = None if filled.all() else np.flatnonzero(filled)
+            size = (b1 - b0) * cx.size
             dx, dy, vals, tmp, own = (w[:size].reshape(b1 - b0, -1) for w in self.work)
-            px, py = xs[r0 + b0:r0 + b1, None], ys[r0 + b0:r0 + b1, None]
+            px, py = px[:, None], py[:, None]
             # the row classes in this chunk of rows; the first may go on
             # from the previous chunk
             k0 = np.searchsorted(row_cls, b0, side="right") - 1
             k1 = np.searchsorted(row_cls, b1)
             starts = np.maximum(row_cls[k0:k1], b0) - b0
+            row_sums = by_row[:, b0:b1]
+            col_sums = by_col[:, k0:k1] if near is None else by_col[:, k0:k1, near]
 
-            np.equal(obs[r0 + b0:r0 + b1, None], qo, out=own)
-            np.abs(np.subtract(px, qx, out=dx), out=dx)
-            np.abs(np.subtract(py, qy, out=dy), out=dy)
+            np.equal(obs[r0 + b0:r0 + b1, None], co, out=own)
+            np.abs(np.subtract(px, cx, out=dx), out=dx)
+            np.abs(np.subtract(py, cy, out=dy), out=dy)
             # take(mode="clip") fills out= without a buffer; every index is
             # in range
             np.take(self.kval, dx, out=vals, mode="clip")
             vals *= np.take(self.kval, dy, out=tmp, mode="clip")
             np.copyto(vals, 0.0, where=own)
-            np.add.reduceat(vals, col_cls, axis=1, out=by_row[0, b0:b1])
-            by_col[0, k0:k1] += np.add.reduceat(vals, starts, axis=0)
+            _class_sums(vals, cls, filled, row_sums[0])
+            col_sums[0] += np.add.reduceat(vals, starts, axis=0)
 
             tie = tmp.view(np.int64)  # free until the next take
             np.minimum(dx, self.zero_row, out=dx)
             dx *= self.width
-            dx += np.minimum(px, qx, out=tie)
+            dx += np.minimum(px, cx, out=tie)
             np.minimum(dy, self.zero_row, out=dy)
             dy *= self.height
-            dy += np.minimum(py, qy, out=tie)
+            dy += np.minimum(py, cy, out=tie)
             np.take(self.corr_x, dx, out=vals, mode="clip")
             vals *= np.take(self.corr_y, dy, out=tmp, mode="clip")
-            np.add.reduceat(vals, col_cls, axis=1, out=by_row[1, b0:b1])
-            by_col[1, k0:k1] += np.add.reduceat(vals, starts, axis=0)
-            np.add.reduceat(np.multiply(vals, own, out=tmp), col_cls, axis=1,
-                            out=by_row[2, b0:b1])
+            _class_sums(vals, cls, filled, row_sums[1])
+            col_sums[1] += np.add.reduceat(vals, starts, axis=0)
+            _class_sums(np.multiply(vals, own, out=tmp), cls, filled, row_sums[2])
+            if near is not None:
+                by_col[:, k0:k1, near] = col_sums
         return by_row, by_col
+
+    def near(self, px, py, qx, qy):
+        """Positions of the columns (qx, qy) within 2r of the box of the
+        rows (px, py) on both axes, or None when that is every column."""
+        reach = self.reach
+        x0, x1 = px.min() - reach, px.max() + reach
+        y0, y1 = py.min() - reach, py.max() + reach
+        if x0 <= 0 and y0 <= 0 and x1 >= self.width - 1 and y1 >= self.height - 1:
+            return None
+        near = np.flatnonzero((qx >= x0) & (qx <= x1) & (qy >= y0) & (qy <= y1))
+        return None if near.size == qx.size else near
+
+
+def _class_sums(vals, cls, filled, out) -> None:
+    """Sum the columns of ``vals`` over the classes that start at ``cls``
+    into ``out``; only the classes ``filled`` when that is not None, the
+    others keep their 0."""
+    if filled is None:
+        np.add.reduceat(vals, cls, axis=1, out=out)
+    else:
+        out[:, filled] = np.add.reduceat(vals, cls[filled], axis=1)
+
+
+def _cells(xs, ys, side: int, width: int):
+    """The cell of each pixel: side x side squares, numbered row by row."""
+    return xs // side + ys // side * -(-width // side)
+
+
+def _chunks(runs: list, rows: int, cols: int):
+    """Yield (b0, b1): the row chunks of a block of ``rows`` x ``cols``
+    pairs whose rows form runs that start at ``runs``.
+
+    Runs join a chunk while it stays within ``_BATCH_ELEMENTS`` pairs; a
+    run above that is a chunk of its own, split at
+    ``_PAIR_BLOCK_ELEMENTS`` pairs.
+    """
+    step = max(1, _PAIR_BLOCK_ELEMENTS // cols)
+    b0 = 0
+    for s, e in zip(runs, runs[1:] + [rows]):
+        if (e - b0) * cols <= _BATCH_ELEMENTS:
+            continue
+        if s > b0:
+            yield b0, s
+        b0 = s
+        if (e - s) * cols > _BATCH_ELEMENTS:
+            for b in range(s, e, step):
+                yield b, min(e, b + step)
+            b0 = e
+    if b0 < rows:
+        yield b0, rows
 
 
 def loo_window_ioc(fixations: CleanedFixations, cfg: IocConfig = IocConfig()) -> IocSeries:
@@ -351,13 +437,18 @@ def _window_sums(fixations: CleanedFixations, n: int, kernel) -> tuple:
     n_obs = len(fixations.observers())
     windows = fixations.frame_count - n + 1
 
+    k1, r = kernel.weights_1d, kernel.radius_px
+
     # presence intervals, sorted into classes of equal (start, end) and,
-    # inside a class, by key: so by observer
+    # inside a class, by cell, a 2r x 2r square, and key: so by observer
+    # inside a cell
     key, start, end = _presence(*_window_keys(fixations, width, height), n,
                                 fixations.frame_count)
     # per-key arrays go as soon as they are used, and the pair loop keeps
     # int32 ones: they set the peak memory on a long sparse clip
-    order = np.lexsort((key, end, start))
+    ys, xs = np.divmod(key % (width * height), width)
+    order = np.lexsort((key, _cells(xs, ys, 2 * r, width), end, start))
+    del xs, ys
     start, end = start[order], end[order]
     obs, pix = np.divmod(key[order], width * height)
     del key, order
@@ -369,15 +460,17 @@ def _window_sums(fixations: CleanedFixations, n: int, kernel) -> tuple:
     cls_off = np.append(np.flatnonzero(new_class), start.size)
     cls_start, cls_end = start[cls_off[:-1]], end[cls_off[:-1]]
     del start, end  # from here on, a key's span is its class's
-    # groups: runs of one observer inside one class
+    # groups: runs of one observer inside one class and one cell, so an
+    # observer may have several groups in a class
+    cell = _cells(xs, ys, 2 * r, width)
     new_group = new_class
-    new_group[1:] |= obs[1:] != obs[:-1]
+    new_group[1:] |= (cell[1:] != cell[:-1]) | (obs[1:] != obs[:-1])
+    del cell
     grp_off = np.append(np.flatnonzero(new_group), obs.size)
     grp_obs = obs[grp_off[:-1]]
     grp_cls = np.searchsorted(cls_off, grp_off[:-1], side="right") - 1
     cls_grp = np.searchsorted(grp_off, cls_off)
     del new_class, new_group
-    k1, r = kernel.weights_1d, kernel.radius_px
     mass_x, mass_y = _border_mass(k1, r, width), _border_mass(k1, r, height)
 
     pairs = _PairSums(kernel, width, height, xs, ys, obs)

@@ -10,8 +10,10 @@ def rng():
 
 
 def scanpath_battery():
-    """Eight small scanpath fixtures spanning congruency levels, scatter,
-    cut schedules and observer counts; sized for the brute-force oracles."""
+    """Nine small scanpath fixtures spanning congruency levels, scatter,
+    cut schedules and observer counts; sized for the brute-force oracles.
+    The last, at low congruency on a frame of 4 x 4 IOC cells at sigma
+    1.5, keeps most of its pixel pairs beyond the kernel's reach."""
     return [
         ScanpathFixture(seed=0, n_observers=3, frame_count=20, width=24, height=18,
                         congruency=1.0, cluster_sigma=0.0),
@@ -33,6 +35,9 @@ def scanpath_battery():
         ScanpathFixture(seed=7, n_observers=5, frame_count=40, width=26, height=26,
                         congruency=0.95, cluster_sigma=0.5, cut_frames=(8, 16, 24, 32),
                         reconvergence_lag=3),
+        ScanpathFixture(seed=8, n_observers=8, frame_count=30, width=32, height=32,
+                        congruency=0.3, cluster_sigma=3.0, cut_frames=(15,),
+                        reconvergence_lag=4),
     ]
 
 

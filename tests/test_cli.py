@@ -17,7 +17,7 @@ from cinegaze.ingest import (CleanedFixations, fixation_map_for_frame, read_fixa
                              write_fixations)
 from cinegaze.ioc import read_ioc_series
 from cinegaze.saliency import center_prior, make_kernel
-from cinegaze.tables import config_hash, read_meta
+from cinegaze.tables import config_hash, read_meta, read_table
 
 from oracles import average_map_oracle
 
@@ -211,9 +211,11 @@ class TestPipeline:
                                                   "report": "bias"})
 
     def test_shot_stats_table(self, out):
-        lines = (out / "shot_stats.csv").read_text().splitlines()
-        assert lines[0].startswith("clip_id,")
-        assert lines[1].split(",")[0] == CLIP
+        columns = {"clip_id": str, "sequence_length_s": float, "longest_s": float,
+                   "shortest_s": float, "average_s": float}
+        meta, rows = read_table(out / "shot_stats.csv", columns)
+        assert (meta["report"], meta["tool_version"]) == ("shot_stats", __version__)
+        assert [row[0] for row in rows] == [CLIP]
 
     def test_maps_written(self, out):
         maps = sorted((out / "maps").glob("*.f32"))
@@ -306,6 +308,7 @@ HASHED_FIELDS = {
     "dataset_means.csv": "dataset_means.csv",
     "anova_size.json": {"test": "one_way_anova", "metric": "NSS", "partition": "Size"},
     "bias.json": {"report": "bias"},
+    "shot_stats.csv": "shot_stats.csv",
 }
 
 

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cinegaze import ioc
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.ingest import CleanedFixations, build_fixation_map
-from cinegaze.ioc import (_REANCHOR, SERIES_COLUMNS, IocConfig, IocSeries,
+from cinegaze.ioc import (_REANCHOR, SERIES_COLUMNS, IocConfig, IocSeries, _PairSums,
                           _presence, _window_keys, cut_drop_analysis, loo_window_ioc,
                           read_ioc_series, sequence_ioc_summary, write_ioc_series)
 from cinegaze.metrics import nss
@@ -342,6 +343,158 @@ class TestLooWindowIoc:
             tracemalloc.stop()
         assert len(series.values) == 2000 - 20 + 1
         assert peak <= 3_966_273, peak
+
+
+def matches_the_oracles(fix, cfg):
+    """The series against the naive oracle (abs 1e-6) and against every
+    window scored on its own (abs 1e-9)."""
+    series = loo_window_ioc(fix, cfg)
+    ref = naive_loo_window_ioc(fix, cfg.n, cfg.sigma_px, cfg.truncation)
+    assert [t for t, _ in series.values] == [t for t, _ in ref]
+    for (t, score), (_, expected) in zip(series.values, ref):
+        window = {o: {f - t: fr[f] for f in range(t, t + cfg.n) if f in fr}
+                  for o, fr in fix.by_observer.items()}
+        (_, alone), = loo_window_ioc(cleaned_from(window, cfg.n, fix.width, fix.height),
+                                     cfg).values
+        if expected is None:
+            assert score is None and alone is None, t
+        else:
+            assert score == pytest.approx(expected, abs=1e-6), t
+            assert score == pytest.approx(alone, abs=1e-9), t
+
+
+def scatter(rng, x_range, y_range, count):
+    """``count`` uniform points in the box x_range x y_range."""
+    return [(float(x), float(y)) for x, y in
+            zip(rng.uniform(*x_range, count), rng.uniform(*y_range, count))]
+
+
+def reach_edges(rng):
+    """r = 3, so 2r = 6 and the cells are 6 x 6 pixels; 32 x 26 leaves part
+    cells on the right and bottom edges. Pairs lie exactly 2r and 2r + 1
+    apart on each axis, and points sit on the last column and row."""
+    pinned = [(4.0, 8.0), (10.0, 8.0), (11.0, 9.0),    # 6 and 7 apart on x
+              (20.0, 2.0), (20.0, 8.0), (21.0, 9.0),   # 6 and 7 apart on y
+              (31.0, 25.0), (31.0, 20.0), (26.0, 25.0), (31.4, 25.4)]
+    # the pinned points go to different observers, in every frame
+    by_obs = {f"o{i}": {f: scatter(rng, (0, 31.4), (0, 25.4), 25) + pinned[i::6]
+                        for f in range(3)} for i in range(6)}
+    return cleaned_from(by_obs, 3, 32, 26), IocConfig(n=1, sigma_px=3.0, truncation=1.0)
+
+
+def wide_kernel(rng):
+    """r = 18: 2r is wider than the 20 x 16 frame, which is one cell."""
+    by_obs = {f"o{i}": {f: scatter(rng, (0, 19.4), (0, 15.4), 30) for f in range(3)}
+              for i in range(6)}
+    return cleaned_from(by_obs, 3, 20, 16), IocConfig(n=2, sigma_px=6.0)
+
+
+def emptied_class(rng):
+    """r = 2, so 2r = 4. Frame 0 holds a large cluster on the left and one
+    point alone in the top right corner, frame 1 a small cluster on the
+    right, frame 2 a few points in the middle. Frame 0's keys form the
+    class of window 0 alone, frame 1's the class of windows 0 and 1, which
+    is out of reach of the left cluster: pruning empties it for the left
+    cluster's chunks, and the lone point's chunk reaches no key but its
+    own."""
+    by_obs = {f"o{i}": {0: scatter(rng, (0, 8), (0, 19.4), 25),
+                        1: scatter(rng, (26, 31.4), (12, 19.4), 2),
+                        2: scatter(rng, (12, 24), (0, 19.4), 4)} for i in range(6)}
+    by_obs["o0"][0].append((31.0, 1.0))
+    return cleaned_from(by_obs, 3, 32, 20), IocConfig(n=2, sigma_px=2.0, truncation=1.0)
+
+
+def low_congruency(rng):
+    """The battery's low-congruency clip: observers mostly look apart."""
+    return generate_scanpaths(scanpath_battery()[8]), IocConfig(n=5, sigma_px=1.5)
+
+
+#: chunk caps: the module's, and caps so small that every block is pruned
+#: and every row is a chunk of its own
+CAPS = {"default": {}, "row_chunks": {"_BATCH_ELEMENTS": 16, "_PAIR_BLOCK_ELEMENTS": 48}}
+
+
+class TestPairsBeyondReach:
+    @pytest.mark.parametrize("caps", sorted(CAPS))
+    @pytest.mark.parametrize("case", [reach_edges, wide_kernel, emptied_class,
+                                      low_congruency], ids=lambda case: case.__name__)
+    def test_pruned_series_matches_the_oracles(self, case, caps, monkeypatch):
+        for name, value in CAPS[caps].items():
+            monkeypatch.setattr(ioc, name, value)
+        fix, cfg = case(np.random.default_rng(21))
+        matches_the_oracles(fix, cfg)
+
+    @pytest.mark.parametrize("caps", sorted(CAPS))
+    def test_pruning_empties_a_column_class(self, caps, monkeypatch):
+        # the fixture above really has a column class that pruning empties:
+        # the trap, as reduceat returns an element, not 0, for an empty
+        # segment
+        for name, value in CAPS[caps].items():
+            monkeypatch.setattr(ioc, name, value)
+        emptied, class_sums = [], ioc._class_sums
+
+        def spy(vals, cls, filled, out):
+            emptied.append(filled is not None)
+            class_sums(vals, cls, filled, out)
+
+        monkeypatch.setattr(ioc, "_class_sums", spy)
+        loo_window_ioc(*emptied_class(np.random.default_rng(21)))
+        assert any(emptied)
+
+    def test_a_lone_chunk_reaches_its_own_keys_only(self, monkeypatch):
+        # every chunk reaches its own keys, so the fewest columns a chunk
+        # can evaluate are its rows: the lone point of the fixture above,
+        # once rows are chunks of their own
+        for name, value in CAPS["row_chunks"].items():
+            monkeypatch.setattr(ioc, name, value)
+        lone, near = [], _PairSums.near
+
+        def spy(self, px, py, qx, qy):
+            chosen = near(self, px, py, qx, qy)
+            if chosen is not None:
+                lone.append(list(zip(qx[chosen], qy[chosen])) == list(zip(px, py)))
+            return chosen
+
+        monkeypatch.setattr(_PairSums, "near", spy)
+        loo_window_ioc(*emptied_class(np.random.default_rng(21)))
+        assert any(lone)
+
+    def test_near_keeps_the_columns_within_2r_of_the_box(self):
+        # r = 3: the rows' box is x 10 .. 12, y 10 .. 11, and a column is
+        # kept exactly when it lies within 6 of the box on both axes
+        obs = np.zeros(1, dtype=np.int32)
+        pairs = _PairSums(make_kernel(3.0, 1.0), 40, 30, obs, obs, obs)
+        px, py = np.array([10, 12]), np.array([10, 11])
+        qx = np.array([4, 3, 18, 19, 11, 11, 11, 11, 18, 4])
+        qy = np.array([10, 10, 10, 10, 4, 3, 17, 18, 17, 3])
+        assert pairs.near(px, py, qx, qy).tolist() == [0, 2, 4, 6, 8]
+        # every column in reach gives None: the chunk takes them all
+        assert pairs.near(px, py, qx[[0, 2, 4]], qy[[0, 2, 4]]) is None
+        # so does a box that reaches the whole frame
+        assert pairs.near(np.array([6, 33]), np.array([6, 23]), qx, qy) is None
+
+    def test_clusters_beyond_reach_are_never_paired(self, monkeypatch):
+        # r = 2, cells of 4 x 4: every observer looks at every pixel of two
+        # cells 17 pixels apart, one 256-key class. Each cluster is one
+        # chunk, and its columns are its own cluster's keys only, so half
+        # of the 256 x 256 pairs are never evaluated.
+        a = [(float(x), float(y)) for x in range(4, 8) for y in range(4, 8)]
+        b = [(float(x), float(y)) for x in range(24, 28) for y in range(12, 16)]
+        fix = cleaned_from({f"o{i}": {0: a + b} for i in range(8)}, 1, 32, 20)
+        cfg = IocConfig(n=1, sigma_px=2.0, truncation=1.0)
+        chunks, near = [], _PairSums.near
+
+        def spy_near(self, px, py, qx, qy):
+            chosen = near(self, px, py, qx, qy)
+            chunks.append((px < 16, qx[chosen] < 16 if chosen is not None else qx < 16))
+            return chosen
+
+        monkeypatch.setattr(_PairSums, "near", spy_near)
+        matches_the_oracles(fix, cfg)
+        chunks = chunks[:2]  # the series' own blocks, before the single windows
+        assert [(rows.size, cols.size) for rows, cols in chunks] == [(128, 128)] * 2
+        for rows, cols in chunks:  # one cluster's rows, that cluster's columns only
+            assert set(rows.tolist()) == set(cols.tolist()) and len(set(rows.tolist())) == 1
 
 
 class TestSummary:
