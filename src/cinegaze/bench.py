@@ -24,7 +24,7 @@ from .gridio import read_map
 from .ingest import CleanedFixations, fixation_map_for_frame
 from .metrics import KLD_EPSILON, Metric, cc, score_frame
 from .saliency import GaussianKernel, blur_fixations, resize_bilinear
-from .tables import provenance, read_table, write_json, write_table
+from .tables import optional_float, provenance, read_table, write_json, write_table
 
 METRIC_ORDER = [m.value for m in Metric]
 
@@ -227,10 +227,10 @@ def bias_report(avg, prior) -> BiasRecord:
 
 def read_score_rows(path) -> list:
     """Read back a delimited score table written by emit_report."""
-    _, rows = read_table(path, SCORE_COLUMNS)
+    _, values = read_table(path, SCORE_COLUMNS)
     return [ScoreRow(clip, frame, metric, value, tuple(m for m in motions.split("|") if m),
                      angle, size)
-            for clip, frame, metric, value, motions, angle, size in rows]
+            for clip, frame, metric, value, motions, angle, size in zip(*values)]
 
 
 class ReportFormat(str, Enum):
@@ -254,16 +254,18 @@ def emit_report(data, path, fmt: ReportFormat = ReportFormat.DELIMITED,
         columns = [m for m in METRIC_ORDER if m in metrics_present]
         columns += sorted(metrics_present - set(columns))
         field_names = ["label"] + columns
+        converters = {"label": str, **dict.fromkeys(columns, optional_float)}
         table = [[label] + [data[label].get(m) for m in columns] for label in sorted(data)]
     else:
         field_names = list(SCORE_COLUMNS)
+        converters = SCORE_COLUMNS
         table = [[r.clip_id, r.frame_index, r.metric, r.value, "|".join(r.motions),
                   r.angle, r.size] for r in _sorted_rows(data)]
     if not table:
         raise InputError("refusing to emit an empty report")
 
     if fmt is ReportFormat.DELIMITED:
-        write_table(path, field_names, table, meta=header)
+        write_table(path, converters, list(zip(*table)), meta=header)
         return
     write_json(path, {"meta": header, "columns": field_names,
                       "rows": [dict(zip(field_names, row)) for row in table]})

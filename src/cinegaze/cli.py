@@ -34,14 +34,20 @@ from .bench import (METRIC_ORDER, DirectoryPredictions, ReportFormat,
 from .core import ClipMeta
 from .errors import CinegazeError, InputError
 from .gridio import read_map, write_map
-from .ingest import (ColumnMap, IngestReport, clean_and_bin, filter_observers,
-                     fixation_map_for_frame, parse_gaze_samples,
-                     read_fixations, write_fixations)
+from .ingest import (ColumnMap, fixation_map_for_frame, ingest_clip, read_fixations,
+                     write_fixations)
 from .ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
                   sequence_ioc_summary, series_header, write_ioc_series)
 from .saliency import average_map, blur_fixations, center_prior, make_kernel
 from .stats import one_way_anova, pearson, welch_t_test
-from .tables import provenance, read_json, read_meta, read_table, write_json, write_table
+from .tables import (optional_float, provenance, read_json, read_meta, read_table,
+                     write_json, write_table)
+
+#: output table columns and the converters that read their cells back
+CUT_DROP_COLUMNS = {"cut": int, "pre_mean": optional_float, "post_mean": optional_float,
+                    "drop": optional_float, "overlaps_context": int}
+SHOT_STATS_COLUMNS = {"clip_id": str, "sequence_length_s": float, "longest_s": float,
+                      "shortest_s": float, "average_s": float}
 
 #: setting -> (default, *bounds); a bound is (comparison, limit)
 DEFAULTS = {
@@ -154,19 +160,14 @@ def _annotation_of(path, cleaned, fixations_path):
 def cmd_ingest(args):
     meta = ClipMeta.from_dict(read_json(args.meta))
     colmap = ColumnMap.from_json(args.colmap) if args.colmap else ColumnMap()
-    report = IngestReport()
-    with open(args.gaze) as f:
-        records, report = parse_gaze_samples(f, colmap, report)
-    records = [r for r in records if r.clip_id == meta.clip_id]
-    kept, rejected = filter_observers(records, args.min_valid_rate)
-    report.add("observers_rejected", len(rejected))
-    cleaned = clean_and_bin(kept, meta, report)
+    cleaned, report = ingest_clip(args.gaze, meta, colmap, args.min_valid_rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fix_path = out_dir / f"{meta.clip_id}_fixations.csv"
     write_fixations(cleaned, fix_path)
     write_json(out_dir / f"{meta.clip_id}_ingest_report.json", report.to_dict())
-    print(f"{meta.clip_id}: {len(kept)} observers kept, {len(rejected)} rejected, "
+    print(f"{meta.clip_id}: {len(cleaned.by_observer)} observers kept, "
+          f"{report.counts['observers_rejected']} rejected, "
           f"{cleaned.n_points()} fixation points -> {fix_path}")
     return 0
 
@@ -264,9 +265,10 @@ def cmd_ioc(args):
                                   **_stamp(series_header(echo))})
         print(f"summary mean={summary.mean:.4f} -> {args.summary}")
     if records is not None:
-        write_table(args.cut_drop, ["cut", "pre_mean", "post_mean", "drop", "overlaps_context"],
-                    [(r.cut, r.pre_mean, r.post_mean, r.drop, int(r.overlaps_context))
-                     for r in records])
+        write_table(args.cut_drop, CUT_DROP_COLUMNS,
+                    [[r.cut for r in records], [r.pre_mean for r in records],
+                     [r.post_mean for r in records], [r.drop for r in records],
+                     [int(r.overlaps_context) for r in records]])
         print(f"{len(records)} cuts -> {args.cut_drop}")
     return 0
 
@@ -290,7 +292,8 @@ def cmd_bench(args):
     emit_report(result.rows, args.out, meta=echo, aucb_seed=args.auc_b_seed)
     print(f"{len(result.rows)} scores, {len(result.errors)} frame errors -> {args.out}")
     if args.errors_out and result.errors:
-        write_table(args.errors_out, ["frame_index", "reason"], result.errors)
+        write_table(args.errors_out, {"frame_index": int, "reason": str},
+                    [[f for f, _ in result.errors], [reason for _, reason in result.errors]])
     return 0
 
 
@@ -298,9 +301,9 @@ def cmd_stats(args):
     if args.pairs:
         if not (args.x_col and args.y_col):
             raise InputError("--pairs needs --x-col and --y-col")
-        _, rows = read_table(args.pairs, {args.x_col: float, args.y_col: float}, subset=True)
-        # one cell per row when both flags name the same column
-        xs, ys = [row[0] for row in rows], [row[-1] for row in rows]
+        _, values = read_table(args.pairs, {args.x_col: float, args.y_col: float}, subset=True)
+        # one column when both flags name the same column
+        xs, ys = values[0], values[-1]
         r, p = pearson(xs, ys)
         echo = {"test": "pearson", "x": args.x_col, "y": args.y_col}
         out = {**echo, "n": len(xs), "r": r, "p": p}
@@ -344,10 +347,9 @@ def cmd_report(args):
             stats_rows.append(shot_stats(read_annotation(path), args.fps))
         if not stats_rows:
             raise InputError(f"no annotation documents under {args.shot_stats}")
-        write_table(args.out, ["clip_id", "sequence_length_s", "longest_s", "shortest_s",
-                               "average_s"],
-                    [(s.clip_id, s.sequence_length_s, s.longest_s, s.shortest_s, s.average_s)
-                     for s in sorted(stats_rows, key=lambda s: s.average_s)],
+        stats_rows.sort(key=lambda s: s.average_s)
+        write_table(args.out, SHOT_STATS_COLUMNS,
+                    [[getattr(s, name) for s in stats_rows] for name in SHOT_STATS_COLUMNS],
                     meta=provenance({"report": "shot_stats", "fps": args.fps}))
     else:
         if not args.scores:

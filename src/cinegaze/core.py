@@ -10,10 +10,8 @@ Coordinate conventions used throughout the toolkit:
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -32,12 +30,6 @@ def has_control_chars(text: str) -> bool:
     return _CONTROL_CHARS.search(text) is not None
 
 
-class GazeEvent(str, Enum):
-    FIXATION = "Fixation"
-    SACCADE = "Saccade"
-    UNKNOWN = "Unknown"
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle: origin top-left, sizes in pixels."""
@@ -47,12 +39,13 @@ class Rect:
     w: float
     h: float
 
-    def contains_strict(self, px: float, py: float) -> bool:
-        """True when (px, py) lies strictly inside the rectangle.
+    def contains_strict(self, px, py):
+        """True where (px, py) lies strictly inside the rectangle; px and py
+        may be numbers or arrays.
 
         Boundary points count as outside: letterbox borders carry no content.
         """
-        return self.x < px < self.x + self.w and self.y < py < self.y + self.h
+        return (self.x < px) & (px < self.x + self.w) & (self.y < py) & (py < self.y + self.h)
 
 
 def letterboxed_area(frame_w: int, frame_h: int, display_w: int, display_h: int) -> Rect:
@@ -146,18 +139,6 @@ class ClipMeta:
 
 
 @dataclass(frozen=True)
-class GazeSample:
-    """One raw eye-tracker reading, in display pixels."""
-
-    observer_id: str
-    timestamp_ms: float
-    x: float
-    y: float
-    valid: bool = True
-    event: GazeEvent = GazeEvent.UNKNOWN
-
-
-@dataclass(frozen=True)
 class FixationMap:
     """Per-frame binary grid of fixated pixels: their sorted, distinct
     row-major positions ``y * width + x`` (int64), as
@@ -188,27 +169,30 @@ class SaliencyMap:
     values: np.ndarray
 
 
-def frame_of(timestamp_ms: float, fps: float) -> int:
-    """Frame index on screen at the given time: floor(t * fps / 1000).
+def frame_of(timestamp_ms, fps: float):
+    """Frame index on screen at the given time: floor(t * fps / 1000), for a
+    number or an array of times.
 
-    Every sample lands in exactly one frame.
+    Every sample lands in exactly one frame. The index is a float64, so a
+    time far past any clip still compares exactly with a frame count.
     """
-    if timestamp_ms < 0:
-        raise InputError(f"negative timestamp: {timestamp_ms}")
+    t = np.asarray(timestamp_ms, dtype=float)
+    if not np.all(t >= 0):
+        raise InputError(f"negative timestamp: {t[~(t >= 0)].flat[0]}")
     if fps <= 0:
         raise InputError(f"fps must be positive, got {fps}")
-    return int(math.floor(timestamp_ms * fps / 1000.0))
+    return np.floor(t * fps / 1000.0)
 
 
-def display_to_frame(x: float, y: float, meta: ClipMeta) -> Optional[tuple]:
-    """Map a display-pixel position into frame pixels, or None when the
-    point is not strictly inside the active content area."""
+def display_to_frame(x, y, meta: ClipMeta) -> tuple:
+    """Map display-pixel positions (numbers or arrays) into frame pixels.
+
+    Only points strictly inside the active content area
+    (``meta.active_area.contains_strict``) land on the frame.
+    """
     a = meta.active_area
-    if not a.contains_strict(x, y):
-        return None
-    fx = (x - a.x) * (meta.frame_width_px / a.w)
-    fy = (y - a.y) * (meta.frame_height_px / a.h)
-    return (fx, fy)
+    return ((x - a.x) * (meta.frame_width_px / a.w),
+            (y - a.y) * (meta.frame_height_px / a.h))
 
 
 def frame_to_display(fx: float, fy: float, meta: ClipMeta) -> tuple:

@@ -4,7 +4,11 @@ Cleaning follows the recording protocol: observers whose share of valid
 samples is not above the threshold are rejected wholesale, then only
 fixation-flagged valid samples are kept, points on the letterbox or off
 screen are discarded, and the survivors are binned into frames by sample
-timestamp.
+timestamp. ``ingest_clip`` runs the whole chain on one clip's export.
+
+An export is read in bounded chunks of lines and kept as columns from the
+parser on: numbers convert a column at a time, and each distinct validity,
+event and id token is classified once.
 
 Real exports are dirty, so problems are counted into an IngestReport
 instead of aborting the run.
@@ -13,20 +17,24 @@ instead of aborting the run.
 from __future__ import annotations
 
 import io
-import math
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (ClipMeta, FixationMap, GazeEvent, GazeSample, display_to_frame,
-                   frame_of, has_control_chars, rasterize)
+from .core import (ClipMeta, FixationMap, display_to_frame, frame_of, has_control_chars,
+                   rasterize)
 from .errors import FormatError, InputError
 from .tables import read_json, read_table, write_table
 
 #: fixation file columns and their cell converters
 FIXATION_COLUMNS = {"observer_id": str, "frame_index": int, "x": float, "y": float}
+
+#: characters of an export parsed at a time, in whole lines: bounds the
+#: fields held as text
+_CHUNK_CHARS = 1 << 20
 
 
 @dataclass
@@ -42,19 +50,29 @@ class IngestReport:
         return dict(sorted(self.counts.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObserverRecord:
-    """One observer's time-ordered samples for one clip."""
+    """One observer's time-ordered samples for one clip, as equal-length
+    columns: time (ms), display x and y, validity, and whether the tracker
+    flagged the sample as part of a fixation."""
 
     observer_id: str
     clip_id: str
-    samples: tuple
+    timestamp_ms: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    valid: np.ndarray
+    fixation: np.ndarray
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The time column: one entry per sample."""
+        return self.timestamp_ms
 
     @property
     def valid_rate(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(1 for s in self.samples if s.valid) / len(self.samples)
+        n = len(self.timestamp_ms)
+        return int(np.count_nonzero(self.valid)) / n if n else 0.0
 
 
 @dataclass
@@ -117,36 +135,164 @@ _TRUE_TOKENS = {"1", "true", "valid", "yes"}
 _FALSE_TOKENS = {"0", "false", "invalid", "no"}
 
 
-def _parse_event(token: str) -> GazeEvent:
+def _validity(token: str) -> int:
+    """1 valid, 0 invalid, -1 not a validity token."""
     t = token.strip().lower()
-    if "fixation" in t:
-        return GazeEvent.FIXATION
-    if "saccade" in t:
-        return GazeEvent.SACCADE
-    return GazeEvent.UNKNOWN
+    return 1 if t in _TRUE_TOKENS else 0 if t in _FALSE_TOKENS else -1
+
+
+def _is_fixation(token: str) -> bool:
+    return "fixation" in token.lower()
+
+
+def _floats(tokens: list) -> np.ndarray:
+    """A column of ``float`` tokens; NaN where a token is not a number."""
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return np.array([_float_or_nan(t) for t in tokens])
+
+
+def _float_or_nan(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return float("nan")
+
+
+def _classified(tokens: list, table: dict, classify, dtype) -> np.ndarray:
+    """``classify`` of every token, computed once per distinct token and
+    kept in ``table`` across chunks."""
+    for token in set(tokens).difference(table):
+        table[token] = classify(token)
+    return np.fromiter(map(table.__getitem__, tokens), dtype, len(tokens))
+
+
+class _ExportColumns:
+    """The columns of an export's well-formed rows, parsed a chunk of whole
+    lines at a time; a row that is not well formed is counted as
+    ``malformed_row``."""
+
+    def __init__(self, delimiter: str, width: int, indices: dict):
+        self.delimiter, self.width, self.indices = delimiter, width, indices
+        self.needed = max(indices.values()) + 1
+        self.malformed = 0
+        self.ids: dict = {}  # id -> its code
+        self.id_codes: dict = {}  # raw id token -> code of its id; -1 for no id
+        self.validity: dict = {}  # validity token -> 1, 0, or -1 for no validity
+        self.events: dict = {}  # event token -> whether it flags a fixation
+        self.chunks: list = []  # per chunk, the columns of its well-formed rows
+
+    def _id_code(self, token: str) -> int:
+        text = token.strip()
+        if not text or has_control_chars(text):
+            return -1
+        return self.ids.setdefault(text, len(self.ids))
+
+    def _regular(self, lines: list) -> list:
+        """The lines with exactly ``width`` fields each: blank lines go, a
+        line short of the needed columns is malformed, and a line with
+        fewer or more fields than the header is padded or cut to it (the
+        columns past ``needed`` are never read)."""
+        d, width = self.delimiter, self.width
+        counts = np.fromiter(map(str.count, lines, itertools.repeat(d)), np.int64, len(lines))
+        odd = counts != width - 1
+        if "\n" in lines:
+            odd |= np.fromiter(map("\n".__eq__, lines), bool, len(lines))
+        if not odd.any():
+            return lines
+        keep = ~odd
+        for i in np.flatnonzero(odd).tolist():
+            fields = lines[i].rstrip("\n").split(d)
+            if fields == [""]:
+                continue  # a blank line
+            if len(fields) < self.needed:
+                self.malformed += 1
+                continue
+            lines[i] = d.join((fields + [""] * width)[:width])
+            keep[i] = True
+        return list(itertools.compress(lines, keep.tolist()))
+
+    def add(self, lines: list) -> None:
+        lines = self._regular(lines)
+        if not lines:
+            return
+        # joined by the delimiter, a line's last field keeps its line end,
+        # which float() and every token classifier ignore as white space
+        fields = self.delimiter.join(lines).split(self.delimiter)
+        column = {name: fields[i::self.width] for name, i in self.indices.items()}
+        del fields
+        t, x, y = (_floats(column[name]) for name in ("timestamp_ms", "x", "y"))
+        valid = _classified(column["validity"], self.validity, _validity, np.int8)
+        fixation = _classified(column["event"], self.events, _is_fixation, bool)
+        obs = _classified(column["observer_id"], self.id_codes, self._id_code, np.int32)
+        clip = _classified(column["clip_id"], self.id_codes, self._id_code, np.int32)
+        good = (np.isfinite(t) & np.isfinite(x) & np.isfinite(y) & (t >= 0)
+                & (valid >= 0) & (obs >= 0) & (clip >= 0))
+        self.malformed += len(lines) - int(np.count_nonzero(good))
+        self.chunks.append([v[good] for v in (t, x, y, valid, fixation, obs, clip)])
+
+    def records(self, report: IngestReport) -> list:
+        """One ObserverRecord per (clip, observer), sorted by clip then
+        observer; a stream that is out of time order is re-sorted, stably,
+        and counted as ``out_of_order_row``."""
+        _tally(report, "malformed_row", self.malformed)
+        if not self.chunks:
+            return []
+        t, x, y, valid, fixation, obs, clip = map(np.concatenate, zip(*self.chunks))
+        self.chunks = []
+        names = sorted(self.ids)
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[[self.ids[name] for name in names]] = np.arange(len(names))
+        key = rank[clip] * len(names) + rank[obs]
+        del obs, clip
+        order = np.argsort(key, kind="stable")
+        key, t = key[order], t[order]
+        same = key[1:] == key[:-1]
+        late = key[1:][same & (t[1:] < t[:-1])]  # sorted: one run per stream
+        if late.size:
+            _tally(report, "out_of_order_row", 1 + int(np.count_nonzero(late[1:] != late[:-1])))
+            resort = np.lexsort((t, key))
+            order, key, t = order[resort], key[resort], t[resort]
+        x, y, valid, fixation = x[order], y[order], valid[order] > 0, fixation[order]
+        bounds = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True])
+        records = []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            clip_name, obs_name = divmod(int(key[lo]), len(names))
+            records.append(ObserverRecord(names[obs_name], names[clip_name], t[lo:hi],
+                                          x[lo:hi], y[lo:hi], valid[lo:hi],
+                                          fixation[lo:hi]))
+        return records
+
+
+def _tally(report: IngestReport, reason: str, k: int) -> None:
+    """Count ``k`` drops for ``reason``; a reason never met stays out of
+    the report."""
+    if k:
+        report.add(reason, k)
 
 
 def parse_gaze_samples(stream, colmap: ColumnMap = ColumnMap(),
                        report: Optional[IngestReport] = None):
     """Parse delimiter-separated gaze samples with a header row.
 
-    Returns (records, report): one ObserverRecord per (observer, clip),
-    sorted by clip then observer. Rows that cannot be parsed (wrong field
-    count, unparseable numbers, non-finite coordinates, negative
-    timestamps, empty ids or ids with control characters) are counted as
-    ``malformed_row`` and skipped. Samples are re-sorted by timestamp when
-    an observer's stream arrives out of order (counted as
-    ``out_of_order_row``).
+    ``stream`` is a text stream, or the export itself as a string; lines
+    end at "\\n" as its iteration splits them. Returns (records, report):
+    one ObserverRecord per (observer, clip), sorted by clip then observer.
+    Rows that cannot be parsed (too few fields, unparseable numbers,
+    non-finite coordinates, negative timestamps, unknown validity tokens,
+    empty ids or ids with control characters) are counted as
+    ``malformed_row`` and skipped. Samples are re-sorted by timestamp,
+    stably, when an observer's stream arrives out of order (counted once
+    per stream as ``out_of_order_row``).
     """
     if report is None:
         report = IngestReport()
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    lines = iter(stream)
-    try:
-        header_line = next(lines)
-    except StopIteration:
-        raise FormatError("gaze stream is empty, expected a header row") from None
+    header_line = stream.readline()
+    if not header_line:
+        raise FormatError("gaze stream is empty, expected a header row")
     header = [h.strip() for h in header_line.rstrip("\n").split(colmap.delimiter)]
     indices = {}
     for name in ("observer_id", "clip_id", "timestamp_ms", "x", "y", "validity", "event"):
@@ -154,55 +300,10 @@ def parse_gaze_samples(stream, colmap: ColumnMap = ColumnMap(),
         if column not in header:
             raise FormatError(f"mandatory column {column!r} missing from header {header}")
         indices[name] = header.index(column)
-    needed = max(indices.values()) + 1
-
-    streams: dict = {}
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(colmap.delimiter)
-        if len(fields) < needed:
-            report.add("malformed_row")
-            continue
-        try:
-            t = float(fields[indices["timestamp_ms"]])
-            x = float(fields[indices["x"]])
-            y = float(fields[indices["y"]])
-        except ValueError:
-            report.add("malformed_row")
-            continue
-        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)) or t < 0:
-            report.add("malformed_row")
-            continue
-        validity_token = fields[indices["validity"]].strip().lower()
-        if validity_token in _TRUE_TOKENS:
-            valid = True
-        elif validity_token in _FALSE_TOKENS:
-            valid = False
-        else:
-            report.add("malformed_row")
-            continue
-        obs = fields[indices["observer_id"]].strip()
-        clip = fields[indices["clip_id"]].strip()
-        stream = streams.get((clip, obs))
-        if stream is None:
-            if not obs or not clip or has_control_chars(obs + clip):
-                report.add("malformed_row")
-                continue
-            stream = streams[(clip, obs)] = []
-        stream.append(GazeSample(observer_id=obs, timestamp_ms=t, x=x, y=y, valid=valid,
-                                 event=_parse_event(fields[indices["event"]])))
-
-    records = []
-    for (clip, obs) in sorted(streams):
-        samples = streams[(clip, obs)]
-        if any(samples[i].timestamp_ms < samples[i - 1].timestamp_ms
-               for i in range(1, len(samples))):
-            report.add("out_of_order_row")
-            samples = sorted(samples, key=lambda s: s.timestamp_ms)
-        records.append(ObserverRecord(obs, clip, tuple(samples)))
-    return records, report
+    columns = _ExportColumns(colmap.delimiter, len(header), indices)
+    for lines in iter(lambda: stream.readlines(_CHUNK_CHARS), []):
+        columns.add(lines)
+    return columns.records(report), report
 
 
 def filter_observers(records: Sequence[ObserverRecord], min_rate: float = 0.9):
@@ -224,42 +325,69 @@ def clean_and_bin(records: Sequence[ObserverRecord], meta: ClipMeta,
     Keeps valid fixation-flagged samples, maps them from display into
     frame coordinates, drops letterboxed/off-screen points, and assigns
     each survivor to the frame on screen at its timestamp. Samples landing
-    at or past the clip end are dropped with a warning count.
+    at or past the clip end are dropped with a warning count. A frame's
+    points keep their sample order.
     """
     if report is None:
         report = IngestReport()
-    by_observer: dict = {}
+    kept: dict = {}  # observer_id -> [(frames, x, y) per record]
     for record in records:
         if record.clip_id != meta.clip_id:
             raise InputError(
                 f"record for clip {record.clip_id!r} passed to clean_and_bin "
                 f"for clip {meta.clip_id!r}")
-        frames = by_observer.setdefault(record.observer_id, {})
-        for sample in record.samples:
-            if sample.event is not GazeEvent.FIXATION:
-                report.add("non_fixation_event")
-                continue
-            if not sample.valid:
-                report.add("invalid_sample")
-                continue
-            pos = display_to_frame(sample.x, sample.y, meta)
-            if pos is None:
-                report.add("outside_active_area")
-                continue
-            frame = frame_of(sample.timestamp_ms, meta.fps)
-            if frame >= meta.frame_count:
-                report.add("beyond_clip_end")
-                continue
-            frames.setdefault(frame, []).append(pos)
-    by_observer = {obs: dict(sorted(frames.items()))
-                   for obs, frames in sorted(by_observer.items())}
+        t, x, y = (np.asarray(v, dtype=float) for v in (record.timestamp_ms, record.x, record.y))
+        fixation = np.asarray(record.fixation, dtype=bool)
+        valid = np.asarray(record.valid, dtype=bool)
+        _tally(report, "non_fixation_event", t.size - int(np.count_nonzero(fixation)))
+        keep = fixation & valid
+        _tally(report, "invalid_sample", int(np.count_nonzero(fixation)) - int(np.count_nonzero(keep)))
+        inside = keep & meta.active_area.contains_strict(x, y)
+        _tally(report, "outside_active_area", int(np.count_nonzero(keep & ~inside)))
+        frames = frame_of(t[inside], meta.fps)
+        on_clip = frames < meta.frame_count
+        _tally(report, "beyond_clip_end", frames.size - int(np.count_nonzero(on_clip)))
+        fx, fy = display_to_frame(x[inside][on_clip], y[inside][on_clip], meta)
+        kept.setdefault(record.observer_id, []).append(
+            (frames[on_clip].astype(np.int64), fx, fy))
     return CleanedFixations(
         clip_id=meta.clip_id,
         frame_count=meta.frame_count,
         width=meta.frame_width_px,
         height=meta.frame_height_px,
-        by_observer=by_observer,
+        by_observer={obs: _by_frame(*map(np.concatenate, zip(*kept.pop(obs))))
+                     for obs in sorted(kept)},
     )
+
+
+def _by_frame(frames: np.ndarray, x: np.ndarray, y: np.ndarray) -> dict:
+    """{frame: [(x, y), ...]} in frame order; a frame's points keep their
+    order in the columns."""
+    if not frames.size:
+        return {}
+    order = np.argsort(frames, kind="stable")
+    frames = frames[order]
+    points = list(zip(x[order].tolist(), y[order].tolist()))
+    bounds = np.flatnonzero(np.r_[True, frames[1:] != frames[:-1], True]).tolist()
+    return {frame: points[lo:hi]
+            for frame, lo, hi in zip(frames[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
+
+
+def ingest_clip(gaze, meta: ClipMeta, colmap: ColumnMap = ColumnMap(),
+                min_valid_rate: float = 0.9) -> tuple:
+    """One clip's export at path ``gaze``, through the whole ingest chain:
+    parse, keep the records of ``meta``'s clip, reject observers with a
+    valid-sample rate not above ``min_valid_rate``, clean and bin.
+
+    Returns (CleanedFixations, IngestReport); the report counts the
+    rejected observers as ``observers_rejected``.
+    """
+    with open(gaze) as f:
+        records, report = parse_gaze_samples(f, colmap, IngestReport())
+    records = [r for r in records if r.clip_id == meta.clip_id]
+    kept, rejected = filter_observers(records, min_valid_rate)
+    report.add("observers_rejected", len(rejected))
+    return clean_and_bin(kept, meta, report), report
 
 
 def build_fixation_map(points: Iterable, width: int, height: int) -> FixationMap:
@@ -281,27 +409,45 @@ def fixation_map_for_frame(cleaned: CleanedFixations, frame: int) -> FixationMap
 
 
 def write_fixations(cleaned: CleanedFixations, path) -> None:
-    """Long-form fixation file: one row per point, with clip header lines."""
-    rows = ((obs, frame, x, y) for obs in cleaned.observers()
-            for frame, pts in cleaned.by_observer[obs].items() for (x, y) in sorted(pts))
-    write_table(path, FIXATION_COLUMNS, rows,
+    """Long-form fixation file: one row per point, with clip header lines.
+
+    Rows go by observer, then frame in the order of ``by_observer``, then
+    point.
+    """
+    observers, frames, xs, ys = [], [], [], []
+    for obs in cleaned.observers():
+        for frame, pts in cleaned.by_observer[obs].items():
+            if pts:
+                x, y = zip(*sorted(pts))
+                observers += [obs] * len(x)
+                frames += [frame] * len(x)
+                xs += x
+                ys += y
+    write_table(path, FIXATION_COLUMNS, [observers, frames, xs, ys],
                 meta={"clip_id": cleaned.clip_id, "frame_count": cleaned.frame_count,
                       "width": cleaned.width, "height": cleaned.height})
 
 
 def _on_clip_frame(meta: dict):
-    """Row check for ``read_table``: a point lies on a frame of the clip,
-    inside its width x height grid."""
+    """Column check for ``read_table``: each point lies on a frame of the
+    clip, inside its width x height grid."""
     bounds = [meta.get(key, "") for key in ("frame_count", "width", "height")]
     if not all(v.isdigit() for v in bounds):
         return None  # a missing or bad header line is reported once the rows are read
     frame_count, width, height = map(int, bounds)
 
-    def check(row: list) -> None:
-        if not 0 <= row[1] < frame_count:
-            raise ValueError(f"frame {row[1]} outside [0, {frame_count})")
-        if not (0 <= row[2] < width and 0 <= row[3] < height):
-            raise ValueError(f"point ({row[2]}, {row[3]}) outside {width}x{height} frame")
+    def check(values: list) -> Optional[tuple]:
+        _, frames, xs, ys = values
+        x, y = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        ok = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+        if frames and not (min(frames) >= 0 and max(frames) < frame_count):
+            ok &= np.array([0 <= f < frame_count for f in frames])
+        if ok.all():
+            return None
+        i = int(np.argmin(ok))
+        if not 0 <= frames[i] < frame_count:
+            return i, f"frame {frames[i]} outside [0, {frame_count})"
+        return i, f"point ({xs[i]}, {ys[i]}) outside {width}x{height} frame"
     return check
 
 
@@ -311,20 +457,24 @@ def read_fixations(path) -> CleanedFixations:
     A point on a frame outside [0, frame_count), or outside the
     width x height frame, is a FormatError that names its line.
     """
-    meta, rows = read_table(path, FIXATION_COLUMNS, check=_on_clip_frame)
-    by_observer: dict = {}
-    for obs, frame, x, y in rows:
-        by_observer.setdefault(obs, {}).setdefault(frame, []).append((x, y))
+    meta, (observers, frames, xs, ys) = read_table(path, FIXATION_COLUMNS,
+                                                   check=_on_clip_frame)
     try:
-        return CleanedFixations(
-            clip_id=meta["clip_id"],
-            frame_count=int(meta["frame_count"]),
-            width=int(meta["width"]),
-            height=int(meta["height"]),
-            by_observer={obs: dict(sorted(frames.items()))
-                         for obs, frames in sorted(by_observer.items())},
-        )
+        clip = (meta["clip_id"], int(meta["frame_count"]), int(meta["width"]),
+                int(meta["height"]))
     except KeyError as exc:
         raise FormatError(f"{path}: missing fixation file header line for {exc}") from None
     except ValueError as exc:
         raise FormatError(f"{path}: bad fixation file header line ({exc})") from None
+    names = sorted(set(observers))
+    by_observer = {}
+    if names:
+        code = {name: i for i, name in enumerate(names)}
+        obs = np.array(list(map(code.__getitem__, observers)))
+        order = np.argsort(obs, kind="stable")
+        obs = obs[order]
+        frames, xs, ys = (np.array(v)[order] for v in (frames, xs, ys))
+        bounds = np.flatnonzero(np.r_[True, obs[1:] != obs[:-1], True]).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            by_observer[names[obs[lo]]] = _by_frame(frames[lo:hi], xs[lo:hi], ys[lo:hi])
+    return CleanedFixations(*clip, by_observer=by_observer)

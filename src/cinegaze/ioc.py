@@ -172,7 +172,8 @@ def _presence(frames: np.ndarray, keys: np.ndarray, n: int, total_frames: int):
     interval. Intervals are clipped to the clip's complete windows.
     """
     on_clip = (frames >= 0) & (frames < total_frames)
-    seen = np.unique(keys[on_clip] * total_frames + frames[on_clip])
+    seen = np.sort(keys[on_clip] * total_frames + frames[on_clip])
+    seen = seen[np.r_[True, seen[1:] != seen[:-1]]]  # np.unique would import numpy.ma
     key, frame = np.divmod(seen, total_frames)
     opens = np.ones(seen.size, dtype=bool)
     opens[1:] = (key[1:] != key[:-1]) | (frame[1:] - frame[:-1] > n)
@@ -622,13 +623,15 @@ def write_ioc_series(series: IocSeries, path, meta: Optional[dict] = None) -> No
     Absent scores serialize as an empty field. The header is
     ``series_header(meta)``.
     """
+    k = len(series.values)
     write_table(path, SERIES_COLUMNS,
-                ((series.clip_id, start, series.n, score) for start, score in series.values),
+                [[series.clip_id] * k, [start for start, _ in series.values], [series.n] * k,
+                 [score for _, score in series.values]],
                 meta=series_header(meta))
 
 
 def read_ioc_series(path) -> IocSeries:
-    _, rows = read_table(path, SERIES_COLUMNS)
-    if not rows:
+    _, (clips, starts, ns, scores) = read_table(path, SERIES_COLUMNS)
+    if not clips:
         raise FormatError(f"{path}: no series rows found")
-    return IocSeries(rows[0][0], rows[0][2], [(start, score) for _, start, _, score in rows])
+    return IocSeries(clips[0], ns[0], list(zip(starts, scores)))

@@ -15,10 +15,14 @@ import csv
 import hashlib
 import itertools
 import json
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from . import __version__
 from .errors import FormatError, InputError
+
+#: rows written, and characters read, at a time: bound the cells held as text
+_CHUNK_ROWS = 1 << 15
+_CHUNK_CHARS = 1 << 20
 
 
 def optional_float(cell: str) -> Optional[float]:
@@ -60,21 +64,46 @@ def write_json(path, doc) -> None:
         f.write(text + "\n")
 
 
-def _cell(value):
-    # csv itself writes None as an empty cell; numpy floats would otherwise
-    # be written as np.float64(...)
-    return repr(float(value)) if isinstance(value, float) else value
+def _quote(cell) -> str:
+    """A text cell as the csv module's minimal quoting writes it."""
+    text = "" if cell is None else str(cell)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def write_table(path, columns: Iterable[str], rows: Iterable,
+def _format_column(convert, values) -> list:
+    """The cells of one column, by the converter that reads them back:
+    floats as the ``repr`` of a Python float, ``None`` as an empty cell."""
+    if convert is float:
+        return list(map(float.__repr__, map(float, values)))
+    if convert is optional_float:
+        return ["" if v is None else float.__repr__(float(v)) for v in values]
+    if convert is int:
+        return list(map(str, values))
+    quoted = {v: _quote(v) for v in set(values)}  # few distinct ids and labels
+    return list(map(quoted.__getitem__, values))
+
+
+def write_table(path, columns: Mapping, values: Sequence,
                 meta: Optional[Mapping] = None) -> None:
-    """Write the ``meta`` lines in the order given, the column row, the rows."""
+    """Write the ``meta`` lines in the order given, the column row, then the
+    rows of the columns ``values``: one sequence per entry of ``columns``,
+    which maps each column name to the converter that reads its cells back
+    (see ``read_table``)."""
+    converters = list(columns.values())
+    if len(values) != len(converters):
+        raise ValueError(f"{len(values)} columns of values for {len(converters)} names")
     with open(path, "w", newline="") as f:
         for key, value in (meta or {}).items():
             f.write(f"# {key}={value}\n")
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        f.write(",".join(map(_quote, columns)) + "\n")
+        for lo in range(0, len(values[0]), _CHUNK_ROWS):
+            cells = [_format_column(convert, column[lo:lo + _CHUNK_ROWS])
+                     for convert, column in zip(converters, values)]
+            if len(cells) == 1:  # a lone empty cell would read back as a blank line
+                cells = [['""' if c == "" else c for c in cells[0]]]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _read_meta(f, path) -> tuple:
@@ -98,40 +127,105 @@ def read_meta(path) -> dict:
         return _read_meta(f, path)[0]
 
 
+def _rows(f, path, columns: Mapping, subset: bool) -> tuple:
+    """(meta, csv reader at the first data row, row width, picked column
+    indices, line number of the column row) of an open table."""
+    meta, line, line_no = _read_meta(f, path)
+    reader = csv.reader(itertools.chain([line], f))
+    header = next(reader)
+    names = list(columns)
+    matches = set(names) <= set(header) if subset else header == names
+    if not matches:
+        raise FormatError(f"{path}:{line_no}: expected columns {names}, found {header}")
+    return meta, reader, len(header), [header.index(name) for name in names], line_no
+
+
+def _chunk_columns(f, lines: list, width: int) -> list:
+    """The ``width`` columns of the rows in ``lines``, whole lines of the
+    open table ``f``; ValueError when a row is not ``width`` cells wide.
+
+    Lines without a quote, carriage return, NUL or blank line split on
+    commas, as the csv module would split them. Other chunks go through
+    the csv module, after reading on until the chunk closes its last
+    quoted cell.
+    """
+    text = "".join(lines)
+    if not ('"' in text or "\r" in text or "\0" in text or "\n" in lines):
+        cells = ",".join(lines).split(",")
+        # a line's last cell ends in its newline, and only that cell holds
+        # one: all of them in the last column means every row has ``width``
+        last = "".join(cells[width - 1::width])
+        if len(cells) == len(lines) * width and last.count("\n") == text.count("\n"):
+            columns = [cells[i::width] for i in range(width - 1)]
+            return columns + [last.removesuffix("\n").split("\n")]
+    while text.count('"') % 2 and (line := f.readline()):
+        lines.append(line)
+        text += line
+    rows = [cells for cells in csv.reader(lines) if cells]  # blank lines go
+    if list(map(len, rows)).count(width) != len(rows):
+        raise ValueError("a row of the wrong width")
+    return [list(column) for column in zip(*rows)] if rows else [[]] * width
+
+
 def read_table(path, columns: Mapping, *, subset: bool = False,
-               check: Optional[Callable[[dict], Optional[Callable[[list], None]]]] = None
-               ) -> tuple:
-    """(meta, rows) of a table; each row lists its converted cells.
+               check: Optional[Callable[[dict], Optional[Callable[[list], Optional[tuple]]]]]
+               = None) -> tuple:
+    """(meta, values) of a table: ``values`` lists one column of converted
+    cells per entry of ``columns``.
 
     ``columns`` maps each column name to its cell converter. The column
     row must equal its keys, or with ``subset`` contain them all (other
     columns are skipped). ``#`` lines are metadata only before it.
     ``check(meta)`` is called once, at the column row, and may return a
-    row check: it sees each converted row, and a ValueError it raises
-    rejects the row like a bad cell, naming its line.
+    column check: it sees the converted columns and returns None, or
+    ``(i, reason)`` for the first data row ``i`` it rejects. A rejected
+    row fails like a bad cell: a FormatError naming its line.
     """
     with open(path, newline="") as f:
-        meta, line, line_no = _read_meta(f, path)
-        reader = csv.reader(itertools.chain([line], f))
-        header = next(reader)
-        names = list(columns)
-        matches = set(names) <= set(header) if subset else header == names
-        if not matches:
-            raise FormatError(f"{path}:{line_no}: expected columns {names}, found {header}")
-        picks = [(header.index(name), convert) for name, convert in columns.items()]
-        row_check = check(meta) if check is not None else None
-        rows = []
+        meta, _, width, picks, _ = _rows(f, path, columns, subset)
+        values = [[] for _ in picks]
+        shared = [{} if convert is str else None for convert in columns.values()]
+        try:
+            for lines in iter(lambda: f.readlines(_CHUNK_CHARS), []):
+                cells = _chunk_columns(f, lines, width)
+                for column, i, convert, same in zip(values, picks, columns.values(), shared):
+                    if same is None:
+                        column.extend(map(convert, cells[i]))
+                    else:  # one object per distinct text: ids repeat on many rows
+                        column.extend(map(same.setdefault, cells[i], cells[i]))
+        except (ValueError, csv.Error):
+            pass  # the slow pass below names the line
+        else:
+            row_check = check(meta) if check is not None else None
+            if row_check is None or row_check(values) is None:
+                return meta, values
+    raise _first_bad_line(path, columns, subset, check)
+
+
+def _first_bad_line(path, columns: Mapping, subset: bool, check) -> FormatError:
+    """The error of ``read_table`` on a table it rejects, read row by row:
+    the first row that is the wrong width, holds a cell that does not
+    convert, or that the column check rejects."""
+    with open(path, newline="") as f:
+        meta, reader, width, picks, line_no = _rows(f, path, columns, subset)
+        values = [[] for _ in picks]
+        lines = []
+        failure = None
         try:
             for cells in reader:
                 if not cells:
                     continue
-                if len(cells) != len(header):
-                    raise ValueError(f"{len(cells)} cells, expected {len(header)}")
-                row = [convert(cells[i]) for i, convert in picks]
-                if row_check is not None:
-                    row_check(row)
-                rows.append(row)
+                if len(cells) != width:
+                    raise ValueError(f"{len(cells)} cells, expected {width}")
+                row = [convert(cells[i]) for i, convert in zip(picks, columns.values())]
+                for column, value in zip(values, row):
+                    column.append(value)
+                lines.append(line_no + reader.line_num - 1)
         except (ValueError, csv.Error) as exc:
-            raise FormatError(f"{path}:{line_no + reader.line_num - 1}: "
-                              f"malformed row ({exc})") from None
-    return meta, rows
+            failure = (line_no + reader.line_num - 1, exc)
+    row_check = check(meta) if check is not None else None
+    rejected = row_check(values) if row_check is not None else None
+    if rejected is not None:
+        failure = (lines[rejected[0]], rejected[1])
+    line, reason = failure
+    return FormatError(f"{path}:{line}: malformed row ({reason})")

@@ -9,7 +9,10 @@ per-clip average to the per-frame route, built from the library's blur
 and resample, which the oracles above pin in turn.
 """
 
+import io
 import math
+import unicodedata
+from collections import Counter
 
 import numpy as np
 
@@ -391,3 +394,92 @@ def welch_oracle(a, b):
     t = (ma - mb) / math.sqrt(va / na + vb / nb)
     df = (va / na + vb / nb) ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     return t, df, t_p_two_sided_oracle(abs(t), df)
+
+
+# ------------------------------------------------------------------ ingest
+
+_ORACLE_TRUE = {"1", "true", "valid", "yes"}
+_ORACLE_FALSE = {"0", "false", "invalid", "no"}
+_ORACLE_COLUMNS = ("observer_id", "clip_id", "timestamp_ms", "x", "y", "validity", "event")
+
+
+def _oracle_bad_id(text):
+    return not text or any(unicodedata.category(c) == "Cc" for c in text)
+
+
+def parse_gaze_oracle(text, colmap=None, delimiter=","):
+    """Row-by-row export parser: (records, counts).
+
+    ``records`` lists ``(clip_id, observer_id, samples)`` sorted by clip
+    then observer, each sample ``(t, x, y, valid, fixation)``; ``counts``
+    holds the ``malformed_row`` and ``out_of_order_row`` drops. ``colmap``
+    maps the canonical column names to the header's (the default export
+    header if None).
+    """
+    counts = Counter()
+    lines = iter(io.StringIO(text))
+    header = [h.strip() for h in next(lines).rstrip("\n").split(delimiter)]
+    names = colmap or {**{name: name for name in _ORACLE_COLUMNS}, "x": "x_px", "y": "y_px"}
+    idx = {name: header.index(names[name]) for name in _ORACLE_COLUMNS}
+    needed = max(idx.values()) + 1
+    streams = {}
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(delimiter)
+        if len(fields) < needed:
+            counts["malformed_row"] += 1
+            continue
+        try:
+            t, x, y = (float(fields[idx[k]]) for k in ("timestamp_ms", "x", "y"))
+        except ValueError:
+            counts["malformed_row"] += 1
+            continue
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)) or t < 0:
+            counts["malformed_row"] += 1
+            continue
+        token = fields[idx["validity"]].strip().lower()
+        if token not in _ORACLE_TRUE | _ORACLE_FALSE:
+            counts["malformed_row"] += 1
+            continue
+        obs = fields[idx["observer_id"]].strip()
+        clip = fields[idx["clip_id"]].strip()
+        if _oracle_bad_id(obs) or _oracle_bad_id(clip):
+            counts["malformed_row"] += 1
+            continue
+        fixation = "fixation" in fields[idx["event"]].strip().lower()
+        streams.setdefault((clip, obs), []).append(
+            (t, x, y, token in _ORACLE_TRUE, fixation))
+    records = []
+    for clip, obs in sorted(streams):
+        samples = streams[(clip, obs)]
+        if any(samples[i][0] < samples[i - 1][0] for i in range(1, len(samples))):
+            counts["out_of_order_row"] += 1
+            samples = sorted(samples, key=lambda s: s[0])
+        records.append((clip, obs, samples))
+    return records, counts
+
+
+def clean_and_bin_oracle(samples, meta):
+    """One observer's ``(t, x, y, valid, fixation)`` samples cleaned and
+    binned sample by sample: ({frame: [(x, y), ...]}, counts)."""
+    counts = Counter()
+    a = meta.active_area
+    frames = {}
+    for t, x, y, valid, fixation in samples:
+        if not fixation:
+            counts["non_fixation_event"] += 1
+        elif not valid:
+            counts["invalid_sample"] += 1
+        elif not (a.x < x < a.x + a.w and a.y < y < a.y + a.h):
+            counts["outside_active_area"] += 1
+        else:
+            frame = math.floor(t * meta.fps / 1000.0)
+            if frame >= meta.frame_count:
+                counts["beyond_clip_end"] += 1
+            else:
+                frames.setdefault(frame, []).append(
+                    ((x - a.x) * (meta.frame_width_px / a.w),
+                     (y - a.y) * (meta.frame_height_px / a.h)))
+    return dict(sorted(frames.items())), counts

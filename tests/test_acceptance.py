@@ -24,8 +24,7 @@ from cinegaze.annotations import (PartitionKind, cuts_of, labels,
 from cinegaze.bench import benchmark_model, dataset_means
 from cinegaze.core import ClipMeta
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
-from cinegaze.ingest import (ColumnMap, build_fixation_map, clean_and_bin,
-                             filter_observers, parse_gaze_samples)
+from cinegaze.ingest import ColumnMap, build_fixation_map, ingest_clip
 from cinegaze.ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,
                           sequence_ioc_summary)
 from cinegaze.metrics import (KLD_EPSILON, auc_borji, auc_judd, cc, kld, nss,
@@ -169,11 +168,7 @@ def load_clip(root: Path, meta_path: Path):
         colmap_path = root / "colmap.json"
         colmap = (ColumnMap.from_json(colmap_path) if colmap_path.exists()
                   else ColumnMap())
-        with open(root / "gaze" / f"{meta.clip_id}.csv") as f:
-            records, _ = parse_gaze_samples(f, colmap)
-        records = [r for r in records if r.clip_id == meta.clip_id]
-        kept, _ = filter_observers(records, 0.9)
-        cleaned = clean_and_bin(kept, meta)
+        cleaned, _ = ingest_clip(root / "gaze" / f"{meta.clip_id}.csv", meta, colmap, 0.9)
         ann_path = root / "annotations" / f"{meta.clip_id}.json"
         annotation = parse_annotations(read_json(ann_path)) if ann_path.exists() else None
         _dataset_cache[key] = (meta, cleaned, annotation)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -142,7 +143,20 @@ def out(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("run"))
 
 
+#: sha256 of the ingest outputs of ``run_pipeline``, as the per-row parser
+#: and writer made them before ingest kept its samples as columns
+INGEST_DIGESTS = {
+    f"{CLIP}_fixations.csv": "77939cc72aaf33d8b14b7a20cf52b749b5f1acfbe810e9ec6029032702d47ceb",
+    f"{CLIP}_ingest_report.json":
+        "33fc689087757754b77420366b5d5d4c1ca10c20a987ee78c44a0f2b30321c12",
+}
+
+
 class TestPipeline:
+    def test_ingest_outputs_keep_their_bytes(self, out):
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in INGEST_DIGESTS} == INGEST_DIGESTS
+
     def test_ingest_drops_bad_observer_and_noise(self, out):
         cleaned = read_fixations(out / f"{CLIP}_fixations.csv")
         assert "obs_bad" not in cleaned.observers()
@@ -213,9 +227,9 @@ class TestPipeline:
     def test_shot_stats_table(self, out):
         columns = {"clip_id": str, "sequence_length_s": float, "longest_s": float,
                    "shortest_s": float, "average_s": float}
-        meta, rows = read_table(out / "shot_stats.csv", columns)
+        meta, values = read_table(out / "shot_stats.csv", columns)
         assert (meta["report"], meta["tool_version"]) == ("shot_stats", __version__)
-        assert [row[0] for row in rows] == [CLIP]
+        assert values[0] == [CLIP]
 
     def test_maps_written(self, out):
         maps = sorted((out / "maps").glob("*.f32"))

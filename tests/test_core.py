@@ -57,7 +57,7 @@ class TestDisplayToFrame:
 
     def test_letterbox_rejection(self):
         meta = make_meta(1920, 1050)  # bars at y < 75 and y >= 1125
-        assert display_to_frame(0.0, 0.0, meta) is None
+        assert not meta.active_area.contains_strict(0.0, 0.0)
 
     def test_centered_letterbox_offset(self):
         meta = make_meta(1920, 800)  # active y in [200, 1000)
@@ -65,9 +65,11 @@ class TestDisplayToFrame:
 
     def test_boundary_is_outside(self):
         meta = make_meta(1920, 800)
-        assert display_to_frame(960.0, 200.0, meta) is None
-        assert display_to_frame(960.0, 1000.0, meta) is None
-        assert display_to_frame(0.0, 600.0, meta) is None
+        assert not meta.active_area.contains_strict(960.0, 200.0)
+        assert not meta.active_area.contains_strict(960.0, 1000.0)
+        assert not meta.active_area.contains_strict(0.0, 600.0)
+        x, y = np.array([960.0, 960.0, 0.0, 960.0]), np.array([200.0, 1000.0, 600.0, 600.0])
+        assert meta.active_area.contains_strict(x, y).tolist() == [False, False, False, True]
 
     def test_round_trip_recovers_display_point(self, rng):
         meta = make_meta(1280, 720, 1920, 1200)

@@ -5,8 +5,8 @@ from cinegaze.bench import ScoreRow, emit_report, read_score_rows
 from cinegaze.core import ClipMeta
 from cinegaze.errors import FormatError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
-from cinegaze.ingest import (CleanedFixations, parse_gaze_samples, read_fixations,
-                             write_fixations)
+from cinegaze.ingest import (CleanedFixations, ColumnMap, ingest_clip, parse_gaze_samples,
+                             read_fixations, write_fixations)
 from cinegaze.ioc import IocSeries, read_ioc_series, write_ioc_series
 from cinegaze.tables import optional_float, read_table, write_table
 
@@ -20,25 +20,25 @@ COLUMNS = {"name": str, "count": int, "score": optional_float}
 class TestWriteRead:
     def test_meta_order_quoting_and_cells(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, COLUMNS, [("a,b", 1, 0.1), ("#x", 2, None)],
+        write_table(path, COLUMNS, [["a,b", "#x"], [1, 2], [0.1, None]],
                     meta={"width": 3, "height": 2})
         assert path.read_text() == ("# width=3\n# height=2\nname,count,score\n"
                                     '"a,b",1,0.1\n#x,2,\n')
-        meta, rows = read_table(path, COLUMNS)
+        meta, values = read_table(path, COLUMNS)
         assert meta == {"width": "3", "height": "2"}
-        assert rows == [["a,b", 1, 0.1], ["#x", 2, None]]
+        assert values == [["a,b", "#x"], [1, 2], [0.1, None]]
 
     def test_numpy_floats_written_as_plain_repr(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, COLUMNS, [("a", 1, np.float64(0.25))])
+        write_table(path, COLUMNS, [["a"], [1], [np.float64(0.25)]])
         assert path.read_text().splitlines()[-1] == "a,1,0.25"
 
     def test_hash_lines_after_column_row_are_data(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("# k=v\nname,count,score\n# not meta,3,\n")
-        meta, rows = read_table(path, COLUMNS)
+        meta, values = read_table(path, COLUMNS)
         assert meta == {"k": "v"}
-        assert rows == [["# not meta", 3, None]]
+        assert values == [["# not meta"], [3], [None]]
 
     def test_column_row_checked_exactly(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -67,8 +67,8 @@ class TestWriteRead:
     def test_subset_picks_named_columns(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x,other,y\n1,skip,2\n3,skip,4\n")
-        _, rows = read_table(path, {"y": float, "x": float}, subset=True)
-        assert rows == [[2.0, 1.0], [4.0, 3.0]]
+        _, values = read_table(path, {"y": float, "x": float}, subset=True)
+        assert values == [[2.0, 4.0], [1.0, 3.0]]
         with pytest.raises(FormatError, match="expected columns"):
             read_table(path, {"z": float}, subset=True)
 
@@ -99,6 +99,29 @@ class TestRoundTrips:
         emit_report(rows, path, meta={"predictions": ident})
         assert read_score_rows(path) == sorted(
             rows, key=lambda r: (r.clip_id, r.frame_index, r.metric))
+
+    def test_ingested_ids_round_trip_byte_for_byte(self, tmp_path):
+        """ingest, write, read, write: the two fixation files are the same
+        bytes, and every id ingest accepts comes back as it went in."""
+        ids = AWKWARD_IDS + ["inner space", "line\u2028separator", 'mix, "all" #', "ü,ü"]
+        clip = 'c,l"i\u2028p'
+        meta = ClipMeta(clip, 10, 64, 40, display_width_px=64, display_height_px=40)
+        lines = ["observer_id\tclip_id\ttimestamp_ms\tx_px\ty_px\tvalidity\tevent"]
+        for k, ident in enumerate(ids):
+            for f in range(10):
+                lines.append(f"{ident}\t{clip}\t{(f + 0.5) * 1000 / 24}\t{1.5 + k + f / 3}\t"
+                             f"{2.25 + f}\t1\tFixation")
+        gaze = tmp_path / "gaze.tsv"
+        gaze.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cleaned, report = ingest_clip(gaze, meta, ColumnMap(delimiter="\t"))
+        assert report.to_dict() == {"observers_rejected": 0}
+        assert cleaned.observers() == sorted(ids)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_fixations(cleaned, first)
+        back = read_fixations(first)
+        assert back == cleaned
+        write_fixations(back, second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_fixation_file_with_numpy_float_points(self, tmp_path):
         fix = generate_scanpaths(ScanpathFixture(seed=3, n_observers=3, frame_count=6,

@@ -94,7 +94,10 @@ def summarize(pairs: list, bounds: dict) -> dict:
     - ``better``: the change won at least nine pairs in ten, and its
       median is lower by more than the base's quartile spread;
     - ``worse``: the change's median is higher than the base's by more
-      than the bound;
+      than the bound, unless the change's own quartile spread is wider
+      than the bound (as a share of its median) and its runs overlap the
+      base's: then ``unresolved``, since a tight base next to a noisy
+      change is no evidence that the change is slower;
     - ``level``: none of these.
     """
     out = {"pairs": len(pairs),
@@ -111,7 +114,8 @@ def summarize(pairs: list, bounds: dict) -> dict:
         elif won >= 0.9 * len(pairs) and b["median"] - c["median"] > spread:
             verdict = "better"
         elif c["median"] > (1 + bound) * b["median"]:
-            verdict = "worse"
+            noisy = c["q3"] - c["q1"] > bound * c["median"] and min(change) <= max(base)
+            verdict = "unresolved" if noisy else "worse"
         else:
             verdict = "level"
         out[name] = {"base": base, "change": change, "base_quartiles": b,
