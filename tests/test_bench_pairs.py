@@ -80,18 +80,18 @@ def _pairs(base, change):
     # 26% worse than the base's median, against a 25% bound
     ([1.0] * 10, [1.26] * 10, "worse"),
     ([1.0] * 10, [1.24] * 10, "level"),
-    # a tight base beside a change whose own quartile spread (0.875 on a
-    # median of 1.45) is wider than the bound: unresolved while the runs
-    # overlap ...
-    ([1.0] * 10, [0.8, 0.9, 1.0, 1.3, 1.4, 1.5, 1.8, 2.0, 2.2, 2.4], "unresolved"),
-    # ... and worse once every change run is above every base run
-    ([1.0] * 10, [1.3, 1.4, 1.5, 2.0, 2.2, 2.4, 2.8, 3.0, 3.2, 3.4], "worse"),
     # the base's quartile spread (1.0 on a median of 2.0) is wider than
     # the bound: unresolved however the medians compare ...
     ([1.0, 1.5, 2.0, 2.5, 3.0], [1.0, 1.5, 2.0, 2.5, 3.0], "unresolved"),
     ([1.0, 1.5, 2.0, 2.5, 3.0], [4.0] * 5, "unresolved"),
     # ... unless every change run is lower than every base run
     ([1.0, 1.5, 2.0, 2.5, 3.0], [0.5] * 5, "better"),
+    # a tight base beside a change whose own quartile spread (0.875 on a
+    # median of 1.45) is wider than the bound: unresolved while the runs
+    # overlap ...
+    ([1.0] * 10, [0.8, 0.9, 1.0, 1.3, 1.4, 1.5, 1.8, 2.0, 2.2, 2.4], "unresolved"),
+    # ... and worse once every change run is above every base run
+    ([1.0] * 10, [1.3, 1.4, 1.5, 2.0, 2.2, 2.4, 2.8, 3.0, 3.2, 3.4], "worse"),
 ])
 def test_verdict_against_the_bound(pairs_tool, base, change, verdict):
     summary = pairs_tool.summarize(_pairs(base, change), {"wall_s": 0.25})

@@ -68,7 +68,7 @@ def write_export(path: Path, seed: int, meta: ClipMeta) -> tuple:
     focus = rng.uniform((300, 150), (WIDTH - 300, HEIGHT - 150), (shot[-1] + 1, 2))
     area = meta.active_area
     kinds = list(NOISE)
-    planted = dict.fromkeys(kinds, 0)
+    planted = dict.fromkeys([*kinds, "observers_rejected"], 0)
     clean = 0
     with open(path, "w") as f:
         f.write(HEADER)
@@ -95,9 +95,16 @@ def write_export(path: Path, seed: int, meta: ClipMeta) -> tuple:
             for i in np.flatnonzero(label == kinds.index("malformed_row")).tolist():
                 rows[i] = f"{obs},{meta.clip_id},{times[i]:.1f},960.00\n"  # too few fields
             f.writelines(rows)
+            counts = np.bincount(label, minlength=len(kinds) + 1).tolist()
+            planted["malformed_row"] += counts[kinds.index("malformed_row")]
+            parsed = n - counts[kinds.index("malformed_row")]
+            if parsed - counts[kinds.index("invalid_sample")] <= 0.9 * parsed:
+                planted["observers_rejected"] += 1  # a short clip can reject one
+                continue
             for j, kind in enumerate(kinds):
-                planted[kind] += int(np.count_nonzero(label == j))
-            clean += int(np.count_nonzero(label == len(kinds)))
+                if kind != "malformed_row":
+                    planted[kind] += counts[j]
+            clean += counts[-1]
     return planted, clean, OBSERVERS * n
 
 
@@ -173,8 +180,10 @@ def main(argv=None) -> int:
             _say(f"{name}_s = {seconds:.4f} s; peak RSS {rss.above_start_mb:.1f} MB above "
                  f"its start; projection to {PAPER_FRAMES} frames: "
                  f"{seconds * PAPER_FRAMES / args.frames:.1f} s (linear, not measured)")
+    planted = {reason: k for reason, k in planted.items()
+               if k or reason == "observers_rejected"}  # as the report counts them
     checks = [("ingest report equals the planted drops",
-               report.to_dict() == dict(sorted({**planted, "observers_rejected": 0}.items()))),
+               report.to_dict() == dict(sorted(planted.items()))),
               ("every clean sample is a fixation point", cleaned.n_points() == clean),
               ("the fixation file reads back every point",
                results["read_fixations"].n_points() == clean)]
