@@ -339,9 +339,10 @@ def clean_and_bin(records: Sequence[ObserverRecord], meta: ClipMeta,
         t, x, y = (np.asarray(v, dtype=float) for v in (record.timestamp_ms, record.x, record.y))
         fixation = np.asarray(record.fixation, dtype=bool)
         valid = np.asarray(record.valid, dtype=bool)
-        _tally(report, "non_fixation_event", t.size - int(np.count_nonzero(fixation)))
+        fixations = int(np.count_nonzero(fixation))
+        _tally(report, "non_fixation_event", t.size - fixations)
         keep = fixation & valid
-        _tally(report, "invalid_sample", int(np.count_nonzero(fixation)) - int(np.count_nonzero(keep)))
+        _tally(report, "invalid_sample", fixations - int(np.count_nonzero(keep)))
         inside = keep & meta.active_area.contains_strict(x, y)
         _tally(report, "outside_active_area", int(np.count_nonzero(keep & ~inside)))
         frames = frame_of(t[inside], meta.fps)

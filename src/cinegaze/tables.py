@@ -176,7 +176,7 @@ def read_table(path, columns: Mapping, *, subset: bool = False,
     ``columns`` maps each column name to its cell converter. The column
     row must equal its keys, or with ``subset`` contain them all (other
     columns are skipped). ``#`` lines are metadata only before it.
-    ``check(meta)`` is called once, at the column row, and may return a
+    ``check(meta)`` is called once, after the rows are read, and may return a
     column check: it sees the converted columns and returns None, or
     ``(i, reason)`` for the first data row ``i`` it rejects. A rejected
     row fails like a bad cell: a FormatError naming its line.
