@@ -556,9 +556,13 @@ def sequence_ioc_summary(series: IocSeries) -> IocSummary:
     present = np.array([v for _, v in series.values if v is not None])
     if present.size == 0:
         raise InputError("series has no present scores")
+    # np.median's result, without the numpy.ma import that np.median makes
+    ranked = np.sort(present)
+    half = ranked.size // 2
+    median = ranked[half] if ranked.size % 2 else (ranked[half - 1] + ranked[half]) / 2
     return IocSummary(
         mean=float(present.mean()),
-        median=float(np.median(present)),
+        median=float(median),
         std=float(present.std()),
         count=int(present.size),
     )

@@ -396,8 +396,8 @@ class TestColumnsAgainstRowOracle:
 
 
 def test_ingest_and_ioc_leave_numpy_ma_unloaded(tmp_path):
-    """np.unique imports numpy.ma (about 20 ms a process); the ingest and
-    IOC path sorts and masks instead."""
+    """np.unique and np.median import numpy.ma (about 20 ms a process); the
+    ingest and IOC path sorts and masks instead."""
     rows = [row(obs=f"o{k}", t=(f + 0.5) * 1000 / 24, x=300 + 40 * k + f, y=200 + 30 * k)
             for k in range(3) for f in range(12)]
     (tmp_path / "gaze.csv").write_text(H + "".join(rows))
@@ -405,11 +405,14 @@ def test_ingest_and_ioc_leave_numpy_ma_unloaded(tmp_path):
         "import sys\n"
         "from cinegaze.core import ClipMeta\n"
         "from cinegaze.ingest import ingest_clip\n"
-        "from cinegaze.ioc import IocConfig, loo_window_ioc\n"
+        "from cinegaze.ioc import (IocConfig, cut_drop_analysis, loo_window_ioc,\n"
+        "                          sequence_ioc_summary)\n"
         "meta = ClipMeta('clip', 12, 64, 40, display_width_px=640, display_height_px=400)\n"
         "cleaned, _ = ingest_clip(sys.argv[1], meta)\n"
         "series = loo_window_ioc(cleaned, IocConfig(n=3, sigma_px=4.0))\n"
         "assert cleaned.n_points() == 36 and len(series.values) == 10, series\n"
+        "sequence_ioc_summary(series)\n"
+        "cut_drop_analysis(series, [6])\n"
         "print('numpy.ma' in sys.modules)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -509,6 +509,12 @@ class TestSummary:
         assert s.mean == 2.0
         assert s.median == 2.0
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 10, 1001])
+    def test_median_equals_numpy_bit_for_bit(self, size, rng):
+        scores = (rng.normal(0.0, 1.0, size) * 10.0 ** rng.integers(-8, 8, size)).tolist()
+        series = IocSeries("c", 5, [(t, v) for t, v in enumerate(scores)])
+        assert sequence_ioc_summary(series).median.hex() == float(np.median(scores)).hex()
+
     def test_absent_scores_excluded(self):
         series = IocSeries("c", 5, [(0, 1.0), (1, None), (2, 3.0)])
         s = sequence_ioc_summary(series)
