@@ -229,8 +229,10 @@ class _ExportColumns:
         clip = _classified(column["clip_id"], self.id_codes, self._id_code, np.int32)
         good = (np.isfinite(t) & np.isfinite(x) & np.isfinite(y) & (t >= 0)
                 & (valid >= 0) & (obs >= 0) & (clip >= 0))
-        self.malformed += len(lines) - int(np.count_nonzero(good))
-        self.chunks.append([v[good] for v in (t, x, y, valid, fixation, obs, clip)])
+        kept = int(np.count_nonzero(good))
+        self.malformed += len(lines) - kept
+        if kept:  # ``records`` takes no chunks as no rows
+            self.chunks.append([v[good] for v in (t, x, y, valid, fixation, obs, clip)])
 
     def records(self, report: IngestReport) -> list:
         """One ObserverRecord per (clip, observer), sorted by clip then

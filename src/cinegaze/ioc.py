@@ -173,7 +173,9 @@ def _presence(frames: np.ndarray, keys: np.ndarray, n: int, total_frames: int):
     """
     on_clip = (frames >= 0) & (frames < total_frames)
     seen = np.sort(keys[on_clip] * total_frames + frames[on_clip])
-    seen = seen[np.r_[True, seen[1:] != seen[:-1]]]  # np.unique would import numpy.ma
+    first_of_value = np.ones(seen.size, dtype=bool)  # np.unique would import numpy.ma
+    first_of_value[1:] = seen[1:] != seen[:-1]
+    seen = seen[first_of_value]
     key, frame = np.divmod(seen, total_frames)
     opens = np.ones(seen.size, dtype=bool)
     opens[1:] = (key[1:] != key[:-1]) | (frame[1:] - frame[:-1] > n)

@@ -20,7 +20,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import __version__
 from .errors import FormatError, InputError
 
-#: rows written, and characters read, at a time: bound the cells held as text
+#: rows written, and characters or csv records read, at a time: bound the
+#: cells held as text
 _CHUNK_ROWS = 1 << 15
 _CHUNK_CHARS = 1 << 20
 
@@ -140,31 +141,32 @@ def _rows(f, path, columns: Mapping, subset: bool) -> tuple:
     return meta, reader, len(header), [header.index(name) for name in names], line_no
 
 
-def _chunk_columns(f, lines: list, width: int) -> list:
-    """The ``width`` columns of the rows in ``lines``, whole lines of the
-    open table ``f``; ValueError when a row is not ``width`` cells wide.
+def _chunks(f, width: int):
+    """The ``width`` columns of the data rows of the open table ``f``, a
+    chunk of rows at a time; ValueError when a row is not ``width`` cells
+    wide.
 
-    Lines without a quote, carriage return, NUL or blank line split on
-    commas, as the csv module would split them. Other chunks go through
-    the csv module, after reading on until the chunk closes its last
-    quoted cell.
+    Chunks of lines without a quote, carriage return, NUL or blank line
+    split on commas, as the csv module would split them. From the first
+    chunk that holds one on, the rest of the table goes through one csv
+    reader, so a quoted cell may span lines.
     """
-    text = "".join(lines)
-    if not ('"' in text or "\r" in text or "\0" in text or "\n" in lines):
-        cells = ",".join(lines).split(",")
-        # a line's last cell ends in its newline, and only that cell holds
-        # one: all of them in the last column means every row has ``width``
-        last = "".join(cells[width - 1::width])
-        if len(cells) == len(lines) * width and last.count("\n") == text.count("\n"):
-            columns = [cells[i::width] for i in range(width - 1)]
-            return columns + [last.removesuffix("\n").split("\n")]
-    while text.count('"') % 2 and (line := f.readline()):
-        lines.append(line)
-        text += line
-    rows = [cells for cells in csv.reader(lines) if cells]  # blank lines go
-    if list(map(len, rows)).count(width) != len(rows):
-        raise ValueError("a row of the wrong width")
-    return [list(column) for column in zip(*rows)] if rows else [[]] * width
+    commas = itertools.repeat(",")
+    for lines in iter(lambda: f.readlines(_CHUNK_CHARS), []):
+        text = "".join(lines)
+        if '"' in text or "\r" in text or "\0" in text or "\n" in lines:
+            break
+        if list(map(str.count, lines, commas)).count(width - 1) != len(lines):
+            raise ValueError("a row of the wrong width")
+        cells = text.removesuffix("\n").replace("\n", ",").split(",")
+        yield [cells[i::width] for i in range(width)]
+    else:
+        return
+    records = filter(None, csv.reader(itertools.chain(lines, f)))  # blank lines go
+    for rows in iter(lambda: list(itertools.islice(records, _CHUNK_ROWS)), []):
+        if list(map(len, rows)).count(width) != len(rows):
+            raise ValueError("a row of the wrong width")
+        yield list(zip(*rows))
 
 
 def read_table(path, columns: Mapping, *, subset: bool = False,
@@ -186,8 +188,7 @@ def read_table(path, columns: Mapping, *, subset: bool = False,
         values = [[] for _ in picks]
         shared = [{} if convert is str else None for convert in columns.values()]
         try:
-            for lines in iter(lambda: f.readlines(_CHUNK_CHARS), []):
-                cells = _chunk_columns(f, lines, width)
+            for cells in _chunks(f, width):
                 for column, i, convert, same in zip(values, picks, columns.values(), shared):
                     if same is None:
                         column.extend(map(convert, cells[i]))

@@ -167,6 +167,20 @@ class TestPipeline:
         assert report["non_fixation_event"] == 1
         assert report["invalid_sample"] == 1
 
+    def test_ingest_reports_an_export_whose_every_row_is_rejected(self, tmp_path, capsys):
+        make_meta(tmp_path / "meta.json")
+        (tmp_path / "gaze.csv").write_text(
+            "observer_id,clip_id,timestamp_ms,x_px,y_px,validity,event\n"
+            f"o1,{CLIP},0.0,320.0,200.0,maybe,Fixation\n"
+            f"o1,{CLIP},1.0,nan,200.0,1,Fixation\n"
+            f",{CLIP},2.0,320.0,200.0,1,Fixation\n")
+        assert main(["ingest", "--gaze", str(tmp_path / "gaze.csv"), "--meta",
+                     str(tmp_path / "meta.json"), "--out-dir", str(tmp_path / "out")]) == 0
+        assert "0 observers kept, 0 rejected, 0 fixation points" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / f"{CLIP}_ingest_report.json").read_text())
+        assert report == {"malformed_row": 3, "observers_rejected": 0}
+        assert read_fixations(tmp_path / "out" / f"{CLIP}_fixations.csv").by_observer == {}
+
     def test_series_has_scores(self, out):
         series = read_ioc_series(out / "ioc_series.csv")
         assert series.n == 5

@@ -330,6 +330,7 @@ DIRTY_EXPORTS = {
     "second_clip": H + row(clip="other", t=3) + row(t=1) + row(clip="other", t=1)
     + row(obs="z", t=0) + row(t=2, clip=" clip "),
     "no_final_newline": H + row(t=1) + row(t=2).rstrip("\n"),
+    "every_row_rejected": H + row(valid="maybe") + row(t=1, x="nan") + row(obs="", t=2),
 }
 
 

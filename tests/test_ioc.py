@@ -77,6 +77,11 @@ class TestLooWindowIoc:
         assert by_start[2] is None      # nobody has fixations
         assert by_start[4] is not None  # both present
 
+    def test_observers_without_points_give_an_absent_series(self):
+        fix = cleaned_from({"a": {}, "b": {}}, 6, 20, 20)
+        series = loo_window_ioc(fix, IocConfig(n=2, sigma_px=1.5))
+        assert series.values == [(start, None) for start in range(5)]
+
     def test_min_observers_enforced(self):
         fix = cleaned_from({"a": {0: [(1.0, 1.0)]}}, 4, 10, 10)
         with pytest.raises(InputError):

@@ -72,6 +72,27 @@ class TestWriteRead:
         with pytest.raises(FormatError, match="expected columns"):
             read_table(path, {"z": float}, subset=True)
 
+    @pytest.mark.parametrize("chunk_chars", [1, 12, 1 << 20])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 1 << 15])
+    def test_chunks_end_on_records(self, tmp_path, chunk_chars, chunk_rows, monkeypatch):
+        # plain lines, a stray quote in an unquoted cell, a quoted cell over
+        # two lines: a chunk may end anywhere before, inside or after them
+        import cinegaze.tables as tables
+        monkeypatch.setattr(tables, "_CHUNK_CHARS", chunk_chars)
+        monkeypatch.setattr(tables, "_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "t.csv"
+        path.write_text('name,count,score\nfirst,0,\n5" tall,1,0.5\n\n"two\nlines",2,\n'
+                        "last,3,1.5")
+        _, values = read_table(path, COLUMNS)
+        assert values == [["first", '5" tall', "two\nlines", "last"], [0, 1, 2, 3],
+                          [None, 0.5, None, 1.5]]
+        path.write_text('name,count,score\nfirst,0,\n5" tall,1,0.5\n"two\nlines",x,\n')
+        with pytest.raises(FormatError, match=r"t\.csv:5: malformed row"):
+            read_table(path, COLUMNS)
+        path.write_text("name,count,score\nfirst,0,\nshort,1\n")
+        with pytest.raises(FormatError, match=r"t\.csv:3: malformed row"):
+            read_table(path, COLUMNS)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("ident", AWKWARD_IDS)
