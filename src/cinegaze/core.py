@@ -223,6 +223,17 @@ def rasterize(xy, width: int, height: int) -> np.ndarray:
     return pix[:, 1] * width + pix[:, 0]
 
 
+def distinct_counts(values) -> tuple:
+    """The distinct values of a 1-D array, ascending, and how often each
+    occurs: ``np.unique(values, return_counts=True)``, by a sort and a
+    mask, because ``np.unique`` imports numpy.ma (about 20 ms a process)."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    return ordered[starts], np.diff(starts, append=ordered.size)
+
+
 def rasterize_point(x: float, y: float, width: int, height: int) -> tuple:
     """``rasterize`` of one point, as its integer pixel (x, y)."""
     return divmod(int(rasterize([(x, y)], width, height)[0]), width)[::-1]

@@ -24,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (ClipMeta, FixationMap, display_to_frame, frame_of, has_control_chars,
-                   rasterize)
+from .core import (ClipMeta, FixationMap, display_to_frame, distinct_counts, frame_of,
+                   has_control_chars, rasterize)
 from .errors import FormatError, InputError
 from .tables import read_json, read_table, write_table
 
@@ -401,7 +401,7 @@ def build_fixation_map(points: Iterable, width: int, height: int) -> FixationMap
     """
     if width <= 0 or height <= 0:
         raise InputError("FixationMap dimensions must be positive")
-    return FixationMap(width, height, np.unique(rasterize(list(points), width, height)))
+    return FixationMap(width, height, distinct_counts(rasterize(list(points), width, height))[0])
 
 
 def fixation_map_for_frame(cleaned: CleanedFixations, frame: int) -> FixationMap:

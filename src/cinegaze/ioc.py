@@ -59,7 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import rasterize
+from .core import distinct_counts, rasterize
 from .errors import FormatError, InputError
 from .ingest import CleanedFixations
 from .saliency import make_kernel
@@ -172,10 +172,7 @@ def _presence(frames: np.ndarray, keys: np.ndarray, n: int, total_frames: int):
     interval. Intervals are clipped to the clip's complete windows.
     """
     on_clip = (frames >= 0) & (frames < total_frames)
-    seen = np.sort(keys[on_clip] * total_frames + frames[on_clip])
-    first_of_value = np.ones(seen.size, dtype=bool)  # np.unique would import numpy.ma
-    first_of_value[1:] = seen[1:] != seen[:-1]
-    seen = seen[first_of_value]
+    seen = distinct_counts(keys[on_clip] * total_frames + frames[on_clip])[0]
     key, frame = np.divmod(seen, total_frames)
     opens = np.ones(seen.size, dtype=bool)
     opens[1:] = (key[1:] != key[:-1]) | (frame[1:] - frame[:-1] > n)

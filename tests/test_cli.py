@@ -372,8 +372,9 @@ def test_cli_errors_return_nonzero(tmp_path):
     assert rc != 0
 
 
-#: run in a fresh interpreter: the CLI chain must not load scipy, and the two
-#: calls that need it must load it and still work
+#: run in a fresh interpreter: the CLI chain must load neither scipy nor
+#: numpy.ma, the p-value that needs scipy.special must load it and still
+#: work, and the blur's FFT route must not need scipy.ndimage
 _SCIPY_ON_DEMAND = """
 import sys
 import numpy as np
@@ -387,23 +388,26 @@ for argv in (["ingest", "--gaze", d + "/gaze.csv", "--meta", meta, "--out-dir", 
              ["bench", "--fixations", fix, "--predictions", preds, "--annotation", ann,
               "--out", d + "/scores.csv"],
              ["report", "--scores", d + "/scores.csv", "--partition", "Size",
-              "--out", d + "/table.csv"]):
+              "--out", d + "/table.csv"],
+             ["saliency", "--fixations", fix, "--average", d + "/average.f32"]):
     assert main(argv) == 0, argv
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:3]
+assert "numpy.ma" not in sys.modules  # np.unique and np.median import it
 
 from cinegaze import saliency, stats
 r, p = stats.pearson([1, 2, 3, 4, 5], [2, 1, 4, 3, 5])
 assert r == 0.8 and abs(p - 0.10408803866182782) < 1e-12, (r, p)
 kernel = saliency.make_kernel(1.0)
-pixels = [(x, y) for x in range(8) for y in (0, 2, 5)]
+pixels = [(x, y) for x in range(8) for y in (0, 1, 2, 4, 5)]
 stamped = np.zeros((6, 8))
 for x, y in pixels:
     saliency.stamp_kernel(stamped, kernel.weights, x, y, 2.0)
-positions = np.array([y * 8 + x for x, y in pixels])
+positions = np.array(sorted(y * 8 + x for x, y in pixels))
+assert not saliency.stamps_points(positions.size, 8, 6, kernel)  # the FFT route runs
 blurred = saliency._blur_points(positions, np.full(positions.size, 2.0), 8, 6, kernel)
 assert np.allclose(blurred, stamped, rtol=0, atol=1e-12)
-assert {"scipy.special", "scipy.ndimage"} <= set(sys.modules)  # the separable route ran
+assert "scipy.special" in sys.modules and "scipy.ndimage" not in sys.modules
 """
 
 

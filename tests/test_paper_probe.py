@@ -1,5 +1,6 @@
 """tools/paper_probe.py at a few frames: its output parses as a benchmark
-run, and its ingest checks hold; tier-1 never runs it at full size."""
+run, and its ingest and average-map checks hold; tier-1 never runs it
+at full size."""
 
 import importlib.util
 import subprocess
@@ -20,8 +21,8 @@ def test_probe_output_parses_as_a_run():
     assert proc.returncode == 0, proc.stderr
     run = pairs_tool.parse_run(proc.stdout)
     assert run["facts"]["seed"] == 3
-    assert (run["correct"], run["failed"], run["attempted"]) == (True, 0, 6)
-    stages = ("ingest_clip", "write_fixations", "read_fixations")
+    assert (run["correct"], run["failed"], run["attempted"]) == (True, 0, 8)
+    stages = ("ingest_clip", "write_fixations", "read_fixations", "average_map")
     assert set(run["metrics"]) == {f"{stage}{suffix}" for stage in stages
                                    for suffix in ("_s", "_peak_rss_mb", "_s_projected")}
     for stage in stages:

@@ -5,8 +5,9 @@ import pytest
 
 from cinegaze.errors import InputError
 from cinegaze.ingest import build_fixation_map
-from cinegaze.saliency import (average_map, blur_fixations, center_prior,
-                               make_kernel, resize_bilinear, stamp_kernel)
+from cinegaze import saliency
+from cinegaze.saliency import (_blur_points, average_map, blur_fixations, center_prior,
+                               make_kernel, resize_bilinear, stamp_kernel, stamps_points)
 
 from oracles import (average_map_oracle, direct_convolve2d, fixation_array,
                      resize_bilinear_oracle, to_reference_grid)
@@ -119,6 +120,69 @@ class TestBlur:
             stamp_kernel(stamped, k.weights, x, y)
         assert np.array_equal(blur_fixations(fmap(pts, 30, 20), k).values, stamped)
 
+    def test_paper_sized_frame_is_stamped_bit_for_bit(self, rng):
+        k = make_kernel(45.0)
+        pts = sorted({(int(rng.integers(1920)), int(rng.integers(800))) for _ in range(14)})
+        assert stamps_points(len(pts), 1920, 800, k)
+        assert np.array_equal(blur_fixations(fmap(pts, 1920, 800), k).values,
+                              stamped(pts, np.ones(len(pts)), 1920, 800, k))
+
+
+def stamped(pts, amounts, w, h, kernel):
+    """Sequential ``stamp_kernel`` of ``amounts[i]`` at each of ``pts``."""
+    out = np.zeros((h, w))
+    for (x, y), amount in zip(pts, amounts):
+        stamp_kernel(out, kernel.weights, x, y, amount)
+    return out
+
+
+class TestFftRoute:
+    """The many-points route against stamping: the same zero set, and
+    values within 1e-12 of the peak."""
+
+    @pytest.fixture(autouse=True)
+    def fft_route(self, monkeypatch):
+        monkeypatch.setattr(saliency, "FFT_COST", 0)  # nothing is stamped
+
+    def check(self, pts, amounts, w, h, kernel):
+        pixels = np.array([y * w + x for x, y in pts], dtype=np.int64)
+        order = np.argsort(pixels)
+        got = _blur_points(pixels[order], np.asarray(amounts, float)[order], w, h, kernel)
+        want = stamped(pts, amounts, w, h, kernel)
+        assert got.shape == (h, w) and got.flags.c_contiguous
+        assert np.array_equal(got == 0, want == 0)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    @pytest.mark.parametrize("w,h", [(40, 30), (30, 45), (97, 11), (1, 20), (20, 1), (1, 1)])
+    def test_every_edge_and_counts_above_one(self, rng, w, h):
+        k = make_kernel(2.5)  # radius 8: most stamps below are clipped
+        edges = {(x, y) for x in (0, w - 1) for y in range(h)}
+        edges |= {(x, y) for x in range(w) for y in (0, h - 1)}
+        inner = {(int(rng.integers(w)), int(rng.integers(h))) for _ in range(w * h // 8)}
+        pts = sorted(edges | inner)
+        self.check(pts, rng.integers(1, 6, len(pts)), w, h, k)
+
+    @pytest.mark.parametrize("line", ["row", "column"])
+    def test_single_row_or_column_of_points(self, rng, line):
+        k = make_kernel(3.0)
+        w, h = 64, 48
+        if line == "row":
+            pts = [(int(x), 20) for x in sorted(rng.choice(w, 30, replace=False))]
+        else:
+            pts = [(5, int(y)) for y in sorted(rng.choice(h, 30, replace=False))]
+        self.check(pts, rng.integers(1, 4, len(pts)), w, h, k)
+
+    def test_sparse_points_leave_exact_zeros_between(self, rng):
+        k = make_kernel(2.0)  # radius 6
+        pts = [(3, 4), (60, 4), (3, 70), (90, 80), (91, 80), (45, 40)]
+        self.check(pts, [1, 2, 3, 1, 7, 2], 100, 90, k)
+
+    def test_paper_sized_clip(self, rng):
+        k = make_kernel(45.0)
+        flat = np.unique(rng.integers(0, 1920 * 800, 1500))
+        pts = [(int(p % 1920), int(p // 1920)) for p in flat]
+        self.check(pts, rng.integers(1, 9, len(pts)), 1920, 800, k)
+
 
 def random_maps(rng, frames, w, h, per_frame):
     """``frames`` fixation maps of ``per_frame`` random pixels each."""
@@ -191,8 +255,9 @@ class TestAverageMap:
         w, h = 32, 24
         maps = random_maps(rng, 30, w, h, 10)
         # each frame alone is stamped; the clip's distinct pixels are not
-        assert all(m.pixels.size * k.size < 2 * w * h for m in maps)
-        assert np.unique(np.concatenate([m.pixels for m in maps])).size * k.size >= 2 * w * h
+        assert all(stamps_points(m.pixels.size, w, h, k) for m in maps)
+        distinct = np.unique(np.concatenate([m.pixels for m in maps])).size
+        assert not stamps_points(distinct, w, h, k)
         assert_matches_oracle([maps, random_maps(rng, 3, 20, 20, 2)], k, 28, 20)
 
     def test_all_frames_excluded_is_error(self):

@@ -3,9 +3,11 @@
 Generates one fixed-seed clip of the paper's shape (1920x800 frames on a
 1920x1200 display, 14 observers, shot cuts) as a 250 Hz gaze export, about
 10 samples per observer per frame, with known shares of saccades, invalid
-samples, letterboxed points and malformed rows. Then it times three
+samples, letterboxed points and malformed rows. Then it times four
 stages in-process: ``ingest_clip`` on the export, ``write_fixations`` of
-the result and ``read_fixations`` of that file. Run from anywhere:
+the result, ``read_fixations`` of that file, and ``average_map`` over
+every frame of the clip it read, at sigma 45 px (one degree), as
+``saliency --average`` runs it. Run from anywhere:
 
     python3 tools/paper_probe.py --frames 4700 --seed 1
 
@@ -19,8 +21,9 @@ measurement.
 The output follows ``perfbench/run.py``: ``#`` lines say what was run
 and measured, and the last line is the JSON result, which
 ``tools/bench_pairs.py``'s ``parse_run`` reads. ``correct`` says whether
-the ingest report equals the planted drops exactly and the file read back
-holds every point.
+the ingest report equals the planted drops exactly, the file read back
+holds every point, and the average map is finite, non-negative and not
+all zero.
 """
 
 from __future__ import annotations
@@ -40,14 +43,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cinegaze.core import ClipMeta, frame_to_display  # noqa: E402
-from cinegaze.ingest import ingest_clip, read_fixations, write_fixations  # noqa: E402
+from cinegaze.core import ClipMeta, distinct_counts, frame_to_display  # noqa: E402
+from cinegaze.ingest import (fixation_map_for_frame, ingest_clip, read_fixations,  # noqa: E402
+                             write_fixations)
+from cinegaze.saliency import average_map, make_kernel  # noqa: E402
 
 PAPER_FRAMES = 94_000
 FPS = 24.0
 RATE_HZ = 250.0
 OBSERVERS = 14
 WIDTH, HEIGHT = 1920, 800
+SIGMA_PX = 45.0
 #: planted share of export rows per drop reason; the rest are clean fixations
 NOISE = {"non_fixation_event": 0.12, "invalid_sample": 0.03, "outside_active_area": 0.02,
          "malformed_row": 0.003}
@@ -154,8 +160,8 @@ def main(argv=None) -> int:
     _say("facts " + json.dumps({"nproc": os.cpu_count(), "python": platform.python_version(),
                                 "numpy": np.__version__, "seed": args.seed}))
     _say(f"workload paper_probe seed {args.seed}: one {WIDTH}x{HEIGHT} clip, {OBSERVERS} "
-         f"observers, a {RATE_HZ:.0f} Hz export; ingest_clip, write_fixations and "
-         f"read_fixations in one process")
+         f"observers, a {RATE_HZ:.0f} Hz export; ingest_clip, write_fixations, "
+         f"read_fixations and average_map in one process")
     metrics = {}
     with tempfile.TemporaryDirectory(prefix="paper_probe_") as tmp:
         gaze, fix = Path(tmp) / "probe.gaze.csv", Path(tmp) / "probe_fixations.csv"
@@ -163,9 +169,17 @@ def main(argv=None) -> int:
         _say("sizes " + json.dumps({"frames": args.frames, "observers": OBSERVERS,
                                     "export_rows": rows, "export_mb":
                                     round(gaze.stat().st_size / 2**20, 1)}))
+        kernel = make_kernel(SIGMA_PX)
+
+        def average():
+            clip = results["read_fixations"]
+            maps = (fixation_map_for_frame(clip, f) for f in range(clip.frame_count))
+            return average_map([maps], kernel)
+
         stages = {"ingest_clip": lambda: ingest_clip(gaze, meta),
                   "write_fixations": lambda: write_fixations(cleaned, fix),
-                  "read_fixations": lambda: read_fixations(fix)}
+                  "read_fixations": lambda: read_fixations(fix),
+                  "average_map": average}
         results = {}
         for name, stage in stages.items():
             with PeakRss() as rss:
@@ -180,13 +194,19 @@ def main(argv=None) -> int:
             _say(f"{name}_s = {seconds:.4f} s; peak RSS {rss.above_start_mb:.1f} MB above "
                  f"its start; projection to {PAPER_FRAMES} frames: "
                  f"{seconds * PAPER_FRAMES / args.frames:.1f} s (linear, not measured)")
+    distinct = distinct_counts(np.concatenate([fixation_map_for_frame(cleaned, f).pixels
+                                               for f in range(cleaned.frame_count)]))[0]
+    _say(f"average_map blurred {distinct.size} distinct fixated pixels")
+    average = results["average_map"].values
     planted = {reason: k for reason, k in planted.items()
                if k or reason == "observers_rejected"}  # as the report counts them
     checks = [("ingest report equals the planted drops",
                report.to_dict() == dict(sorted(planted.items()))),
               ("every clean sample is a fixation point", cleaned.n_points() == clean),
               ("the fixation file reads back every point",
-               results["read_fixations"].n_points() == clean)]
+               results["read_fixations"].n_points() == clean),
+              ("the average map is finite, non-negative and not all zero",
+               bool(np.isfinite(average).all() and (average >= 0).all() and average.any()))]
     failures = [name for name, ok in checks if not ok]
     for name in failures:
         _say("FAIL check failed: " + name)
