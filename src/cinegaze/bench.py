@@ -133,7 +133,7 @@ def benchmark_model(predictions, cleaned: CleanedFixations, kernel: GaussianKern
     errors = []
     _keep_freed_heap()
     for f in range(cleaned.frame_count):
-        if not cleaned.frame_points(f):
+        if not cleaned.frame_rows(f).size:
             continue
         fmap = fixation_map_for_frame(cleaned, f)
         gt_blur = blur_fixations(fmap, kernel)

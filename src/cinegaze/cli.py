@@ -21,6 +21,7 @@ aggregates and IOC series echo settings into their header lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -166,7 +167,7 @@ def cmd_ingest(args):
     fix_path = out_dir / f"{meta.clip_id}_fixations.csv"
     write_fixations(cleaned, fix_path)
     write_json(out_dir / f"{meta.clip_id}_ingest_report.json", report.to_dict())
-    print(f"{meta.clip_id}: {len(cleaned.by_observer)} observers kept, "
+    print(f"{meta.clip_id}: {len(cleaned.observers())} observers kept, "
           f"{report.counts['observers_rejected']} rejected, "
           f"{cleaned.n_points()} fixation points -> {fix_path}")
     return 0
@@ -196,7 +197,7 @@ def cmd_saliency(args):
             wanted = frame_filter.get(cleaned.clip_id)
             return (fixation_map_for_frame(cleaned, f)
                     for f in range(args.skip_first, cleaned.frame_count)
-                    if (wanted is None or f in wanted) and cleaned.frame_points(f))
+                    if (wanted is None or f in wanted) and cleaned.frame_rows(f).size)
 
         # one fixation file at a time: the ids are checked once all are read
         average = average_map((selected_maps(read_fixations(path))
@@ -228,7 +229,7 @@ def cmd_saliency(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     for f in range(lo, min(hi, cleaned.frame_count)):
-        if not cleaned.frame_points(f) and not args.frames:
+        if not cleaned.frame_rows(f).size and not args.frames:
             continue
         blurred = blur_fixations(fixation_map_for_frame(cleaned, f), kernel)
         write_map(out_dir / f"{f:06d}.{args.format}", blurred.values)
@@ -371,7 +372,9 @@ def cmd_report(args):
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="cinegaze",
         description="Eye-tracking analytics for film clips")

@@ -71,12 +71,7 @@ def generate_scanpaths(fixture: ScanpathFixture) -> CleanedFixations:
     own_x = rng.uniform(0.1 * w, 0.9 * w, size=(n, n_segments))
     own_y = rng.uniform(0.1 * h, 0.9 * h, size=(n, n_segments))
 
-    lag_frames = set()
-    for c in fixture.cut_frames:
-        lag_frames.update(range(c, min(fixture.frame_count, c + fixture.reconvergence_lag)))
-
-    observers = [f"obs{i:02d}" for i in range(n)]
-    by_observer = {obs: {} for obs in observers}
+    xs, ys = np.empty((n, fixture.frame_count)), np.empty((n, fixture.frame_count))
     segment = 0
     for t in range(fixture.frame_count):
         while t >= boundaries[segment + 1]:
@@ -84,19 +79,21 @@ def generate_scanpaths(fixture: ScanpathFixture) -> CleanedFixations:
         u = rng.random(n)
         jx = rng.normal(0.0, 1.0, size=n)
         jy = rng.normal(0.0, 1.0, size=n)
-        searching = t in lag_frames
-        for i in range(n):
-            if not searching and u[i] < fixture.congruency:
-                tx, ty = shared_x[segment], shared_y[segment]
-            else:
-                tx, ty = own_x[i, segment], own_y[i, segment]
-            x = min(max(tx + fixture.cluster_sigma * jx[i], 0.0), w - 1.0)
-            y = min(max(ty + fixture.cluster_sigma * jy[i], 0.0), h - 1.0)
-            by_observer[observers[i]][t] = [(x, y)]
+        # within reconvergence_lag frames of the last cut, everyone searches
+        searching = segment > 0 and t - boundaries[segment] < fixture.reconvergence_lag
+        shared = (u < fixture.congruency) & (not searching)
+        tx = np.where(shared, shared_x[segment], own_x[:, segment])
+        ty = np.where(shared, shared_y[segment], own_y[:, segment])
+        xs[:, t] = np.clip(tx + fixture.cluster_sigma * jx, 0.0, w - 1.0)
+        ys[:, t] = np.clip(ty + fixture.cluster_sigma * jy, 0.0, h - 1.0)
     return CleanedFixations(
         clip_id=fixture.clip_id,
         frame_count=fixture.frame_count,
         width=fixture.width,
         height=fixture.height,
-        by_observer=by_observer,
+        observer_ids=[f"obs{i:02d}" for i in range(n)],
+        observer=np.repeat(np.arange(n), fixture.frame_count),
+        frame=np.tile(np.arange(fixture.frame_count), n),
+        x=xs.ravel(),
+        y=ys.ravel(),
     )

@@ -6,9 +6,10 @@ fixation-flagged valid samples are kept, points on the letterbox or off
 screen are discarded, and the survivors are binned into frames by sample
 timestamp. ``ingest_clip`` runs the whole chain on one clip's export.
 
-An export is read in bounded chunks of lines and kept as columns from the
-parser on: numbers convert a column at a time, and each distinct validity,
-event and id token is classified once.
+An export is read in bounded chunks of lines. From the parser on, a
+clip's samples and then its fixations (``CleanedFixations``) are columns:
+numbers convert a column at a time, and each distinct validity, event and
+id token is classified once.
 
 Real exports are dirty, so problems are counted into an IngestReport
 instead of aborting the run.
@@ -20,6 +21,7 @@ import io
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,11 +77,16 @@ class ObserverRecord:
         return int(np.count_nonzero(self.valid)) / n if n else 0.0
 
 
-@dataclass
+@dataclass(eq=False)
 class CleanedFixations:
-    """Frame-binned fixation points per observer, in frame pixels.
+    """Frame-binned fixation points of one clip, in frame pixels, as
+    columns with one row per point: ``observer`` indexes the sorted
+    ``observer_ids``, and ``frame``, ``x`` and ``y`` place the point.
 
-    Coordinates stay real-valued here; they round to integer pixels
+    Rows are sorted stably by (observer, frame) when the object is built,
+    so a frame's points keep their order: sample order after ingest, and
+    file order after a read. An observer may have no rows. Coordinates
+    stay real-valued here; they round to integer pixels
     (``core.rasterize``) where a FixationMap is built, and in IOC.
     """
 
@@ -87,24 +94,55 @@ class CleanedFixations:
     frame_count: int
     width: int
     height: int
-    by_observer: dict  # observer_id -> {frame_index -> [(x, y), ...]}
+    observer_ids: list
+    observer: np.ndarray
+    frame: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        observer, frame = (np.asarray(v, dtype=np.int64) for v in (self.observer, self.frame))
+        order = np.lexsort((frame, observer))
+        self.observer, self.frame = observer[order], frame[order]
+        self.x, self.y = (np.asarray(v, dtype=float)[order] for v in (self.x, self.y))
 
     def observers(self) -> list:
-        return sorted(self.by_observer)
+        return list(self.observer_ids)
+
+    @cached_property
+    def _frame_index(self) -> tuple:
+        """(rows in frame order, the first of each frame's rows): a stable
+        sort, so a frame's rows stay in observer order."""
+        order = np.argsort(self.frame, kind="stable")
+        return order, np.searchsorted(self.frame[order], np.arange(self.frame_count + 1))
+
+    def frame_rows(self, frame: int) -> np.ndarray:
+        """The rows of the points on ``frame``, one of [0, frame_count), in
+        observer order."""
+        order, first = self._frame_index
+        return order[first[frame]:first[frame + 1]]
+
+    @cached_property
+    def by_observer(self) -> dict:
+        """{observer_id: {frame: [(x, y), ...]}}, built on first use. This
+        view and the lists of points below serve the benchmark's set-up and
+        checks and the test oracles, until those read the columns."""
+        by_observer = {obs: {} for obs in self.observer_ids}
+        points = zip(self.x.tolist(), self.y.tolist())
+        for obs, frame, point in zip(self.observer.tolist(), self.frame.tolist(), points):
+            by_observer[self.observer_ids[obs]].setdefault(frame, []).append(point)
+        return by_observer
 
     def points(self, observer_id: str, frame: int) -> list:
         return self.by_observer.get(observer_id, {}).get(frame, [])
 
     def frame_points(self, frame: int) -> list:
         """All observers' points on one frame, observer order."""
-        out = []
-        for obs in self.observers():
-            out.extend(self.by_observer[obs].get(frame, []))
-        return out
+        rows = self.frame_rows(frame)
+        return list(zip(self.x[rows].tolist(), self.y[rows].tolist()))
 
     def n_points(self) -> int:
-        return sum(len(pts) for frames in self.by_observer.values()
-                   for pts in frames.values())
+        return self.frame.size
 
 
 @dataclass(frozen=True)
@@ -332,7 +370,8 @@ def clean_and_bin(records: Sequence[ObserverRecord], meta: ClipMeta,
     """
     if report is None:
         report = IngestReport()
-    kept: dict = {}  # observer_id -> [(frames, x, y) per record]
+    ids = sorted({record.observer_id for record in records})
+    kept = []  # per record, the observer, frame, x and y of its points
     for record in records:
         if record.clip_id != meta.clip_id:
             raise InputError(
@@ -351,29 +390,10 @@ def clean_and_bin(records: Sequence[ObserverRecord], meta: ClipMeta,
         on_clip = frames < meta.frame_count
         _tally(report, "beyond_clip_end", frames.size - int(np.count_nonzero(on_clip)))
         fx, fy = display_to_frame(x[inside][on_clip], y[inside][on_clip], meta)
-        kept.setdefault(record.observer_id, []).append(
-            (frames[on_clip].astype(np.int64), fx, fy))
-    return CleanedFixations(
-        clip_id=meta.clip_id,
-        frame_count=meta.frame_count,
-        width=meta.frame_width_px,
-        height=meta.frame_height_px,
-        by_observer={obs: _by_frame(*map(np.concatenate, zip(*kept.pop(obs))))
-                     for obs in sorted(kept)},
-    )
-
-
-def _by_frame(frames: np.ndarray, x: np.ndarray, y: np.ndarray) -> dict:
-    """{frame: [(x, y), ...]} in frame order; a frame's points keep their
-    order in the columns."""
-    if not frames.size:
-        return {}
-    order = np.argsort(frames, kind="stable")
-    frames = frames[order]
-    points = list(zip(x[order].tolist(), y[order].tolist()))
-    bounds = np.flatnonzero(np.r_[True, frames[1:] != frames[:-1], True]).tolist()
-    return {frame: points[lo:hi]
-            for frame, lo, hi in zip(frames[bounds[:-1]].tolist(), bounds[:-1], bounds[1:])}
+        kept.append((np.full(fx.size, ids.index(record.observer_id)), frames[on_clip], fx, fy))
+    columns = map(np.concatenate, zip(*kept)) if kept else ([],) * 4
+    return CleanedFixations(meta.clip_id, meta.frame_count, meta.frame_width_px,
+                            meta.frame_height_px, ids, *columns)
 
 
 def ingest_clip(gaze, meta: ClipMeta, colmap: ColumnMap = ColumnMap(),
@@ -408,25 +428,20 @@ def fixation_map_for_frame(cleaned: CleanedFixations, frame: int) -> FixationMap
     """All observers' fixations on one frame as a single binary map."""
     if not (0 <= frame < cleaned.frame_count):
         raise InputError(f"frame {frame} outside [0, {cleaned.frame_count})")
-    return build_fixation_map(cleaned.frame_points(frame), cleaned.width, cleaned.height)
+    rows = cleaned.frame_rows(frame)
+    return build_fixation_map(np.column_stack((cleaned.x[rows], cleaned.y[rows])),
+                              cleaned.width, cleaned.height)
 
 
 def write_fixations(cleaned: CleanedFixations, path) -> None:
     """Long-form fixation file: one row per point, with clip header lines.
 
-    Rows go by observer, then frame in the order of ``by_observer``, then
-    point.
+    Rows go by observer, then frame, then x, then y.
     """
-    observers, frames, xs, ys = [], [], [], []
-    for obs in cleaned.observers():
-        for frame, pts in cleaned.by_observer[obs].items():
-            if pts:
-                x, y = zip(*sorted(pts))
-                observers += [obs] * len(x)
-                frames += [frame] * len(x)
-                xs += x
-                ys += y
-    write_table(path, FIXATION_COLUMNS, [observers, frames, xs, ys],
+    order = np.lexsort((cleaned.y, cleaned.x, cleaned.frame, cleaned.observer))
+    ids = np.array(cleaned.observer_ids, dtype=object)[cleaned.observer[order]]
+    write_table(path, FIXATION_COLUMNS, [ids, cleaned.frame[order], cleaned.x[order],
+                                         cleaned.y[order]],
                 meta={"clip_id": cleaned.clip_id, "frame_count": cleaned.frame_count,
                       "width": cleaned.width, "height": cleaned.height})
 
@@ -470,14 +485,5 @@ def read_fixations(path) -> CleanedFixations:
     except ValueError as exc:
         raise FormatError(f"{path}: bad fixation file header line ({exc})") from None
     names = sorted(set(observers))
-    by_observer = {}
-    if names:
-        code = {name: i for i, name in enumerate(names)}
-        obs = np.array(list(map(code.__getitem__, observers)))
-        order = np.argsort(obs, kind="stable")
-        obs = obs[order]
-        frames, xs, ys = (np.array(v)[order] for v in (frames, xs, ys))
-        bounds = np.flatnonzero(np.r_[True, obs[1:] != obs[:-1], True]).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            by_observer[names[obs[lo]]] = _by_frame(frames[lo:hi], xs[lo:hi], ys[lo:hi])
-    return CleanedFixations(*clip, by_observer=by_observer)
+    code = {name: i for i, name in enumerate(names)}
+    return CleanedFixations(*clip, names, list(map(code.__getitem__, observers)), frames, xs, ys)

@@ -21,9 +21,10 @@ observer, the second moment and the values at fixations need sums over
 pairs of the window's pixels, and each pair is evaluated once for the
 whole series:
 
-* A key, one (observer, pixel), is present in the windows
-  [first frame - n + 1, last frame] of each of its presence intervals;
-  occurrences at most n frames apart share one interval.
+* Each row of the clip's fixation columns gives a key, one (observer,
+  pixel). A key is present in the windows [first frame - n + 1, last
+  frame] of each of its presence intervals; occurrences at most n frames
+  apart share one interval.
 * Keys with equal intervals form a class. Each class is paired as one
   block with itself and with every later class that starts before it
   ends; every pair in a block enters the window series at the later
@@ -53,7 +54,6 @@ zero; a window with no scorable observer pair has an absent score.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -145,23 +145,12 @@ def _corr_table(k1: np.ndarray, r: int, length: int) -> np.ndarray:
 def _window_keys(fixations: CleanedFixations, width: int, height: int):
     """Frame indices and keys of every rasterized point.
 
-    A point of observer i (in ``observers()`` order) on the pixel of
+    A point of observer i (an index into ``observer_ids``) on the pixel of
     row-major position p (``core.rasterize``) gets the key
     i * width * height + p, so sorted keys are grouped by observer.
     """
-    frames, sizes, per_observer, points = [], [], [], []
-    for obs in fixations.observers():
-        by_frame = fixations.by_observer[obs]
-        frames.extend(by_frame)
-        sizes.extend(map(len, by_frame.values()))
-        per_observer.append(sum(map(len, by_frame.values())))
-        for pts in by_frame.values():
-            points.extend(pts)
-    xy = np.fromiter(itertools.chain.from_iterable(points), dtype=float,
-                     count=2 * len(points)).reshape(-1, 2)
-    keys = np.repeat(np.arange(len(per_observer), dtype=np.int64) * (width * height), per_observer)
-    keys += rasterize(xy, width, height)
-    return np.repeat(np.asarray(frames, dtype=np.int64), sizes), keys
+    pixels = rasterize(np.column_stack((fixations.x, fixations.y)), width, height)
+    return fixations.frame, fixations.observer * (width * height) + pixels
 
 
 def _presence(frames: np.ndarray, keys: np.ndarray, n: int, total_frames: int):
@@ -414,7 +403,7 @@ def loo_window_ioc(fixations: CleanedFixations, cfg: IocConfig = IocConfig()) ->
     when nothing is scorable). Requires at least ``cfg.min_observers``
     observers in the input and a window no longer than the clip.
     """
-    n_obs = len(fixations.observers())
+    n_obs = len(fixations.observer_ids)
     if n_obs < cfg.min_observers:
         raise InputError(
             f"{n_obs} observers present, leave-one-out needs at least {cfg.min_observers}")
@@ -434,7 +423,7 @@ def _window_sums(fixations: CleanedFixations, n: int, kernel) -> tuple:
     the observer's keys and all keys, and between the observer's own keys,
     and the border-clipped kernel mass of the observer's keys."""
     width, height = fixations.width, fixations.height
-    n_obs = len(fixations.observers())
+    n_obs = len(fixations.observer_ids)
     windows = fixations.frame_count - n + 1
 
     k1, r = kernel.weights_1d, kernel.radius_px

@@ -84,8 +84,8 @@ def stamp_kernel(grid: np.ndarray, weights: np.ndarray, x: int, y: int,
 #: image rows that the FFT route of ``_blur_points`` transforms in one step
 BLUR_BAND_ROWS = 32
 #: the FFT route's cost per row and FFT point, in units of one stamped
-#: kernel cell; measured on 1920x800 grids at sigma 45 px, where the two
-#: routes cost the same at about 430 distinct pixels
+#: kernel cell; measured on 1920x800 grids at sigma 45 px, where the rule
+#: puts the crossover at about 400 distinct pixels
 FFT_COST = 17
 
 
@@ -106,7 +106,7 @@ def stamps_points(count: int, width: int, height: int, kernel: GaussianKernel) -
     """Whether ``_blur_points`` stamps ``count`` distinct pixels on a
     ``height`` x ``width`` grid: when stamping costs less than the FFT
     route, whose cost hardly depends on the count."""
-    n = _fft_length(width + 2 * kernel.radius_px)
+    n = _fft_length(width + kernel.radius_px)
     return count * kernel.size * kernel.size < FFT_COST * height * n
 
 
@@ -121,11 +121,11 @@ def _blur_points(pixels: np.ndarray, amounts: np.ndarray, width: int, height: in
     blurred separably with numpy alone: each pixel's amount times the 1-D
     kernel is added down its column, a row of pixels at a time, and each
     row is then correlated with the 1-D kernel by a real FFT, a band of
-    rows at a time, long enough that nothing wraps. A pixel farther than
-    the kernel's radius from every nonzero column value on its row is set
-    to an exact 0, so the zero set is the stamps' and FFT round-off never
-    reaches a file. Both routes are the same linear operator within 1e-12
-    of the peak (pinned by tests).
+    rows at a time; its wrapped tail lands in the r leading columns, which
+    are cut away. A pixel farther than the kernel's radius from every
+    nonzero column value on its row is set to an exact 0, so the zero set
+    is the stamps' and FFT round-off never reaches a file. Both routes are
+    the same linear operator within 1e-12 of the peak (pinned by tests).
     """
     ys, xs = np.divmod(pixels, width)
     if stamps_points(pixels.size, width, height, kernel):
@@ -144,7 +144,7 @@ def _blur_points(pixels: np.ndarray, amounts: np.ndarray, width: int, height: in
     for y, a, b in zip(rows_y.tolist(), (ends - per_row).tolist(), ends.tolist()):
         lo, hi = max(0, y - r), min(height, y + r + 1)
         columns[xs[a:b], lo:hi] += amounts[a:b, None] * k1[lo - y + r:hi - y + r]
-    n = _fft_length(width + 2 * r)
+    n = _fft_length(width + r)
     k1_f = np.fft.rfft(k1, n)
     out = np.empty((height, width))
     # left[:, i] counts a row's nonzero column values at x < i - r, so a

@@ -75,7 +75,10 @@ def _quote(cell) -> str:
 
 def _format_column(convert, values) -> list:
     """The cells of one column, by the converter that reads them back:
-    floats as the ``repr`` of a Python float, ``None`` as an empty cell."""
+    floats as the ``repr`` of a Python float, ``None`` as an empty cell.
+    A numpy column converts to Python objects first, a chunk at a time."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
     if convert is float:
         return list(map(float.__repr__, map(float, values)))
     if convert is optional_float:

@@ -2,11 +2,28 @@ import numpy as np
 import pytest
 
 from cinegaze.fixtures import ScanpathFixture
+from cinegaze.ingest import CleanedFixations
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def cleaned_from(by_observer, frame_count, width, height, clip="clip"):
+    """A CleanedFixations of the points {observer_id: {frame: [(x, y), ...]}}."""
+    ids = sorted(by_observer)
+    rows = [(i, f, x, y) for i, obs in enumerate(ids)
+            for f, pts in by_observer[obs].items() for x, y in pts]
+    return CleanedFixations(clip, frame_count, width, height, ids,
+                            *(zip(*rows) if rows else ([],) * 4))
+
+
+def fixation_columns(fix):
+    """The clip and the columns of a CleanedFixations as plain values, to
+    compare two of them."""
+    return (fix.clip_id, fix.frame_count, fix.width, fix.height, fix.observer_ids,
+            fix.observer.tolist(), fix.frame.tolist(), fix.x.tolist(), fix.y.tolist())
 
 
 def scanpath_battery():

@@ -14,9 +14,11 @@ from cinegaze.bench import (DirectoryPredictions, ReportFormat, ScoreRow,
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import write_float_grid, write_map
-from cinegaze.ingest import CleanedFixations, fixation_map_for_frame
+from cinegaze.ingest import fixation_map_for_frame
 from cinegaze.metrics import auc_borji, auc_judd, cc, kld, nss, sim
 from cinegaze.saliency import blur_fixations, center_prior, make_kernel, resize_bilinear
+
+from conftest import cleaned_from
 
 
 @pytest.fixture
@@ -196,7 +198,7 @@ class TestBenchmarkModel:
     def test_every_pixel_fixated_is_a_frame_error(self, kernel, rng):
         # frame 1 fixates all four pixels of a 2x2 clip
         points = {0: [(0.0, 0.0)], 1: [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]}
-        tiny = CleanedFixations("tiny", 2, 2, 2, {"obs": points})
+        tiny = cleaned_from({"obs": points}, 2, 2, 2, "tiny")
         predictions = {f: rng.random((2, 2)) for f in range(2)}
         result = benchmark_model(predictions, tiny, kernel, aucb_seed=5,
                                  metric_set=("AUC_J", "AUC_B"))

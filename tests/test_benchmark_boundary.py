@@ -17,7 +17,7 @@ from cinegaze.bench import benchmark_model
 from cinegaze.core import SaliencyMap
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import write_float_grid
-from cinegaze.ingest import fixation_map_for_frame
+from cinegaze.ingest import fixation_map_for_frame, write_fixations
 from cinegaze.ioc import IocConfig, loo_window_ioc, read_ioc_series, write_ioc_series
 from cinegaze.metrics import cc, nss
 from cinegaze.saliency import blur_fixations, make_kernel, resize_bilinear
@@ -89,6 +89,21 @@ def test_return_shapes_the_benchmark_reads(tmp_path):
                              metric_set=("CC",))
     assert {row.frame_index for row in result.rows} <= set(range(8))
     assert isinstance(result.errors, list)
+    # workloads.py reads a point of ``by_observer`` as (x, y), averages
+    # ``frame_points``, and rewrites ``by_observer`` in place, to plain
+    # floats, before ``write_fixations``; checks.py and the tracer count
+    # ``n_points``
+    x, y = fix.by_observer["obs00"][0][0]
+    assert isinstance(x, float) and isinstance(y, float)
+    assert np.mean(fix.frame_points(0), axis=0).shape == (2,)
+    assert fix.n_points() == 3 * 8
+    write_fixations(fix, tmp_path / "before.csv")
+    for frames_of in fix.by_observer.values():
+        for f, pts in frames_of.items():
+            frames_of[f] = [(float(x), float(y)) for x, y in pts]
+    assert fix.by_observer is fix.by_observer  # built once: set-up reads it per observer
+    write_fixations(fix, tmp_path / "after.csv")
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
 
 def test_every_traced_call_runs_on_the_calling_thread(tmp_path):

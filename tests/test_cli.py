@@ -14,12 +14,12 @@ from cinegaze.cli import build_parser, main
 from cinegaze.core import ClipMeta, frame_to_display
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
 from cinegaze.gridio import read_map, write_float_grid, write_map
-from cinegaze.ingest import (CleanedFixations, fixation_map_for_frame, read_fixations,
-                             write_fixations)
+from cinegaze.ingest import fixation_map_for_frame, read_fixations, write_fixations
 from cinegaze.ioc import read_ioc_series
 from cinegaze.saliency import center_prior, make_kernel
 from cinegaze.tables import config_hash, read_meta, read_table
 
+from conftest import cleaned_from
 from oracles import average_map_oracle
 
 CLIP = "synthclip"
@@ -268,7 +268,7 @@ def test_average_selects_frames(tmp_path):
     for clip in ("listed", "unlisted"):
         pts = {f: [(float(3 * f), float(2 * f + 1)), (10.0, 7.0)] for f in (0, 1, 3, 5, 6)}
         paths.append(tmp_path / f"{clip}.csv")
-        write_fixations(CleanedFixations(clip, 8, 20, 16, {"obs": pts}), paths[-1])
+        write_fixations(cleaned_from({"obs": pts}, 8, 20, 16, clip), paths[-1])
     (tmp_path / "frames.json").write_text(json.dumps({"listed": [0, 1, 2, 3]}))
     assert main(["saliency", "--fixations", str(paths[0]), "--fixations", str(paths[1]),
                  "--average", str(tmp_path / "a.f32"), "--frames-file",

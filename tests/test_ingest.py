@@ -9,13 +9,14 @@ import pytest
 
 from cinegaze.core import ClipMeta, frame_to_display
 from cinegaze.errors import FormatError, InputError
-from cinegaze.ingest import (CleanedFixations, ColumnMap, IngestReport,
+from cinegaze.ingest import (ColumnMap, IngestReport,
                              ObserverRecord, build_fixation_map, clean_and_bin,
                              filter_observers, fixation_map_for_frame,
                              parse_gaze_samples, read_fixations,
                              write_fixations)
 from cinegaze.tables import write_json
 
+from conftest import cleaned_from
 from oracles import clean_and_bin_oracle, fixation_array, parse_gaze_oracle
 
 HEADER = "observer_id,clip_id,timestamp_ms,x_px,y_px,validity,event\n"
@@ -243,10 +244,10 @@ class TestFixationMapBuilding:
             build_fixation_map([(8.0, 0.0)], 8, 8)
 
     def test_map_for_frame_pools_observers(self):
-        cleaned = CleanedFixations("c", 5, 8, 8, {
+        cleaned = cleaned_from({
             "a": {2: [(1.0, 1.0)]},
             "b": {2: [(5.0, 5.0)], 3: [(2.0, 2.0)]},
-        })
+        }, 5, 8, 8)
         fmap = fixation_map_for_frame(cleaned, 2)
         assert fmap.pixels.tolist() == [1 * 8 + 1, 5 * 8 + 5]
 
@@ -260,7 +261,7 @@ class TestFixationFiles:
                 frames[f] = [(float(rng.uniform(0, 100)), float(rng.uniform(0, 50)))
                              for _ in range(3)]
             by_observer[obs] = frames
-        cleaned = CleanedFixations("clip7", 10, 100, 50, by_observer)
+        cleaned = cleaned_from(by_observer, 10, 100, 50, "clip7")
         path = tmp_path / "fix.csv"
         write_fixations(cleaned, path)
         back = read_fixations(path)
@@ -270,11 +271,31 @@ class TestFixationFiles:
             for f in range(4):
                 assert sorted(back.points(obs, f)) == sorted(cleaned.points(obs, f))
 
+    def test_shuffled_rows_read_back_as_the_sorted_file(self, tmp_path, rng):
+        # rows in any order, of observers, frames and the points of a frame
+        by_observer = {obs: {f: [(float(rng.uniform(0, 100)), float(rng.uniform(0, 50)))
+                                 for _ in range(3)] for f in range(5)}
+                       for obs in ("b", "a", "c")}
+        ordered, shuffled = tmp_path / "sorted.csv", tmp_path / "shuffled.csv"
+        write_fixations(cleaned_from(by_observer, 10, 100, 50, "clip7"), ordered)
+        lines = ordered.read_text().splitlines(keepends=True)
+        head = 5  # four header lines and the column row
+        rows = [lines[head + i] for i in rng.permutation(len(lines) - head)]
+        assert rows != lines[head:]
+        shuffled.write_text("".join(lines[:head] + rows))
+        want, back = read_fixations(ordered), read_fixations(shuffled)
+        assert back.observers() == want.observers() == ["a", "b", "c"]
+        assert back.n_points() == want.n_points() == 3 * 5 * 3
+        for obs in want.observers():
+            for f in range(5):
+                assert sorted(back.points(obs, f)) == want.points(obs, f)
+        write_fixations(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == ordered.read_bytes()
+
     @pytest.mark.parametrize("x,y", [(100.0, 10.0), (-0.5, 10.0), (10.0, 50.0),
                                      (float("nan"), 10.0)])
     def test_point_outside_frame_names_its_line(self, tmp_path, x, y):
-        cleaned = CleanedFixations("clip7", 10, 100, 50,
-                                   {"a": {0: [(1.0, 2.0)], 3: [(x, y)]}})
+        cleaned = cleaned_from({"a": {0: [(1.0, 2.0)], 3: [(x, y)]}}, 10, 100, 50, "clip7")
         path = tmp_path / "fix.csv"
         write_fixations(cleaned, path)
         # four header lines and the column row come first

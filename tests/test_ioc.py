@@ -6,7 +6,7 @@ import pytest
 from cinegaze import ioc
 from cinegaze.errors import InputError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
-from cinegaze.ingest import CleanedFixations, build_fixation_map
+from cinegaze.ingest import build_fixation_map
 from cinegaze.ioc import (_REANCHOR, SERIES_COLUMNS, IocConfig, IocSeries, _PairSums,
                           _presence, _window_keys, cut_drop_analysis, loo_window_ioc,
                           read_ioc_series, sequence_ioc_summary, write_ioc_series)
@@ -14,12 +14,8 @@ from cinegaze.metrics import nss
 from cinegaze.saliency import blur_fixations, make_kernel
 from cinegaze.tables import read_table
 
-from conftest import scanpath_battery
+from conftest import cleaned_from, scanpath_battery
 from oracles import naive_loo_window_ioc
-
-
-def cleaned_from(points_by_obs, frame_count, w, h, clip="clip"):
-    return CleanedFixations(clip, frame_count, w, h, points_by_obs)
 
 
 class TestLooWindowIoc:
@@ -98,8 +94,7 @@ class TestLooWindowIoc:
         fx = scanpath_battery()[2]
         fix = generate_scanpaths(fx)
         renamed = {f"zz_{obs}": frames for obs, frames in fix.by_observer.items()}
-        flipped = CleanedFixations(fix.clip_id, fix.frame_count, fix.width,
-                                   fix.height, renamed)
+        flipped = cleaned_from(renamed, fix.frame_count, fix.width, fix.height, fix.clip_id)
         cfg = IocConfig(n=4, sigma_px=1.5)
         a = loo_window_ioc(fix, cfg)
         b = loo_window_ioc(flipped, cfg)
@@ -121,8 +116,7 @@ class TestLooWindowIoc:
             dup = {k: {f: list(v) for f, v in fr.items()}
                    for k, fr in fix.by_observer.items()}
             dup["zz_dup"] = {f: list(v) for f, v in fix.by_observer["obs00"].items()}
-            fix_dup = CleanedFixations(fix.clip_id, fix.frame_count, fix.width,
-                                       fix.height, dup)
+            fix_dup = cleaned_from(dup, fix.frame_count, fix.width, fix.height, fix.clip_id)
             cfg = IocConfig(n=4, sigma_px=2.0)
             a = loo_window_ioc(fix, cfg)
             b = loo_window_ioc(fix_dup, cfg)

@@ -5,10 +5,12 @@ from cinegaze.bench import ScoreRow, emit_report, read_score_rows
 from cinegaze.core import ClipMeta
 from cinegaze.errors import FormatError
 from cinegaze.fixtures import ScanpathFixture, generate_scanpaths
-from cinegaze.ingest import (CleanedFixations, ColumnMap, ingest_clip, parse_gaze_samples,
-                             read_fixations, write_fixations)
+from cinegaze.ingest import (ColumnMap, ingest_clip, parse_gaze_samples, read_fixations,
+                             write_fixations)
 from cinegaze.ioc import IocSeries, read_ioc_series, write_ioc_series
 from cinegaze.tables import optional_float, read_table, write_table
+
+from conftest import cleaned_from, fixation_columns
 
 # ids that a hand-split line format cannot carry: delimiter, quote,
 # comment marker at the start of a row, another delimiter, non-ASCII
@@ -97,13 +99,13 @@ class TestWriteRead:
 class TestRoundTrips:
     @pytest.mark.parametrize("ident", AWKWARD_IDS)
     def test_fixation_file(self, tmp_path, ident):
-        cleaned = CleanedFixations(ident, 4, 10, 8, {
+        cleaned = cleaned_from({
             ident: {0: [(1.5, 2.25)], 3: [(9.0, 0.1)]},
             "plain": {1: [(0.0, 7.75), (4.0, 4.0)]},
-        })
+        }, 4, 10, 8, ident)
         path = tmp_path / "fix.csv"
         write_fixations(cleaned, path)
-        assert read_fixations(path) == cleaned
+        assert fixation_columns(read_fixations(path)) == fixation_columns(cleaned)
 
     @pytest.mark.parametrize("ident", AWKWARD_IDS)
     def test_ioc_series(self, tmp_path, ident):
@@ -140,17 +142,19 @@ class TestRoundTrips:
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         write_fixations(cleaned, first)
         back = read_fixations(first)
-        assert back == cleaned
+        assert fixation_columns(back) == fixation_columns(cleaned)
         write_fixations(back, second)
         assert second.read_bytes() == first.read_bytes()
 
     def test_fixation_file_with_numpy_float_points(self, tmp_path):
+        # the fixture's points are numpy floats; written as their repr,
+        # "np.float64(...)", they would not read back
         fix = generate_scanpaths(ScanpathFixture(seed=3, n_observers=3, frame_count=6,
                                                  width=20, height=12, congruency=0.8,
                                                  cluster_sigma=1.0))
-        assert isinstance(fix.frame_points(0)[0][0], np.floating)
         path = tmp_path / "fix.csv"
         write_fixations(fix, path)
+        assert "np.float64(" not in path.read_text()
         back = read_fixations(path)
         assert back.observers() == fix.observers()
         for obs in fix.observers():
